@@ -87,6 +87,14 @@ def _load_json(path: str, loader, what: str):
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
 
+def _side(side: list, count: int) -> list:
+    """A side's client indices, each an int in 0..count-1."""
+    for i in side:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < count:
+            raise ValueError(f"index {i!r} is not a client index in 0..{count - 1}")
+    return side
+
+
 def cmd_feasibility(args: argparse.Namespace) -> int:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
     target = _load_graph(args.target)
@@ -94,8 +102,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     parts = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
+        count = len(clients)
         try:
-            parts = [Bipartition.split(len(clients), side) for side in sides]
+            parts = [Bipartition.split(count, _side(side, count)) for side in sides]
         except (TypeError, ValueError) as exc:
             raise CliError(f"{args.bipartitions}: bad bipartition list: {exc}") from exc
     verdict = feasibility(

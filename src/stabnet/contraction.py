@@ -5,9 +5,10 @@ stabilizer group on the unpaired (boundary) qubits.  The residual is
 extracted without simulating measurements: stack every node generator
 and every Bell-pair generator as symplectic rows, restrict the rows to
 the contracted qubit columns, and compute the GF(2) kernel.  Each kernel
-basis vector is materialized as an explicit operator product so that
-signs are exact; the products are identity on the contracted qubits and
-their boundary restrictions generate the residual group.
+basis vector is materialized as an explicit operator product over its set
+bits so that signs are exact; the products are identity on the contracted
+qubits and their boundary restrictions generate the residual group, which
+:func:`reduce_generators` validates once.
 
 If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
@@ -88,9 +89,15 @@ class ContractionInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_states", tuple(self.node_states))
-        object.__setattr__(
-            self, "pairings", tuple((int(i), int(j)) for i, j in self.pairings)
-        )
+        object.__setattr__(self, "pairings", tuple(tuple(p) for p in self.pairings))
+        object.__setattr__(self, "offsets", tuple(self.offsets))
+        for k, pair in enumerate(self.pairings):
+            if len(pair) != 2:
+                raise ValueError(f"pairings[{k}] has {len(pair)} entries, expected 2")
+            for side, q in enumerate(pair):
+                _require_int(q, f"pairings[{k}][{side}]")
+        for k, off in enumerate(self.offsets):
+            _require_int(off, f"qubit_offsets[{k}]")
         object.__setattr__(self, "convention", BellConvention.coerce(self.convention))
         if not self.node_states:
             raise ValueError("need at least one node state")
@@ -101,8 +108,6 @@ class ContractionInstance:
                 cumulative.append(total)
                 total += g.n
             object.__setattr__(self, "offsets", tuple(cumulative))
-        else:
-            object.__setattr__(self, "offsets", tuple(self.offsets))
         if len(self.offsets) != len(self.node_states):
             raise ValueError("one offset per node state required")
         covered: set[int] = set()
@@ -168,9 +173,9 @@ class ContractionInstance:
         )
         return cls(
             node_states=nodes,
-            pairings=tuple(tuple(p) for p in data["pairings"]),
+            pairings=data["pairings"],
             convention=BellConvention(data.get("convention", "plus-pair")),
-            offsets=tuple(data.get("qubit_offsets", ())),
+            offsets=data.get("qubit_offsets", ()),
         )
 
 
@@ -206,18 +211,22 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     boundary = inst.boundary
     ops = inst.all_generators()
 
-    contracted_mask = 0
-    for q in inst.contracted:
-        contracted_mask |= (1 << q) | (1 << (q + n))
+    contracted_mask = _spread(inst.contracted)
+    contracted_mask |= contracted_mask << n
     kernel = gf2.left_kernel(op.symplectic_row() & contracted_mask for op in ops)
 
+    not_boundary = ~_spread(boundary)
+    bit_of = {q: 1 << k for k, q in enumerate(boundary)}
     candidates = []
     for mask in kernel:
-        chosen = (ops[i] for i in range(mask.bit_length()) if (mask >> i) & 1)
-        witness = product(chosen, n)
-        if witness.x & ~_spread(boundary) or witness.z & ~_spread(boundary):
+        witness = product((ops[i] for i in gf2.set_bits(mask)), n)
+        if (witness.x | witness.z) & not_boundary:
             raise AssertionError("kernel product is not identity on contracted qubits")
-        candidates.append(witness.restricted_to(boundary) if boundary else witness)
+        if boundary:
+            x = sum(bit_of[q] for q in gf2.set_bits(witness.x))
+            z = sum(bit_of[q] for q in gf2.set_bits(witness.z))
+            witness = PauliOperator(len(boundary), x, z, witness.phase)
+        candidates.append(witness)
 
     exponent = len(inst.contracted) - len(ops) + len(kernel)
     if not boundary:
@@ -242,7 +251,12 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     return ContractionResult(status, residual, boundary, exponent)
 
 
-def _spread(qubits: Sequence[int]) -> int:
+def _require_int(value: object, field: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def _spread(qubits: Iterable[int]) -> int:
     mask = 0
     for q in qubits:
         mask |= 1 << q
@@ -311,10 +325,6 @@ def is_pure_stabilizer_state(result: ContractionResult) -> PurityCertificate:
     )
 
 
-def parse_pairings(raw: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-    return tuple((int(i), int(j)) for i, j in raw)
-
-
 __all__ = [
     "BellConvention",
     "ContractionInstance",
@@ -326,5 +336,4 @@ __all__ = [
     "contract",
     "contract_single_element",
     "is_pure_stabilizer_state",
-    "parse_pairings",
 ]

@@ -9,7 +9,7 @@ so reduction is deterministic for a given input order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 def pack_row(bits: Iterable[int]) -> int:
@@ -26,6 +26,14 @@ def unpack_row(row: int, width: int) -> tuple[int, ...]:
     return tuple((row >> i) & 1 for i in range(width))
 
 
+def set_bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 class Eliminator:
     """Incremental Gaussian elimination with witness tracking.
 
@@ -37,7 +45,7 @@ class Eliminator:
     __slots__ = ("_pivots", "_n_rows")
 
     def __init__(self) -> None:
-        # lowest set bit (as a power of two) -> (reduced row, witness mask)
+        # pivot column + 1 (bit_length of the lowest bit) -> (reduced row, witness mask)
         self._pivots: dict[int, tuple[int, int]] = {}
         self._n_rows = 0
 
@@ -52,7 +60,7 @@ class Eliminator:
     def _strip(self, row: int, mask: int) -> tuple[int, int]:
         while row:
             low = row & -row
-            hit = self._pivots.get(low)
+            hit = self._pivots.get(low.bit_length())
             if hit is None:
                 break
             row ^= hit[0]
@@ -71,7 +79,7 @@ class Eliminator:
         row, mask = self._strip(row, mask)
         if row == 0:
             return mask
-        self._pivots[row & -row] = (row, mask)
+        self._pivots[(row & -row).bit_length()] = (row, mask)
         return None
 
     def solve(self, target: int) -> int | None:

@@ -11,16 +11,15 @@ An n-qubit Pauli operator is two bit-packed integers ``x`` and ``z``
 
 with Y the standard Pauli matrix.  The single sign convention used
 project-wide is ``Y = i * X * Z`` (equivalently ``X * Z = -i * Y``);
-every phase produced by :func:`multiply` reduces to this rule.  Valid
-stabilizer elements always carry phase 0 (for +1) or 2 (for -1); odd
-phases only occur in intermediate products.
+:func:`product`, which ``*`` also calls, is the one place that applies it.
+Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
+odd phases only occur in intermediate products.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import gf2
 
@@ -93,21 +92,7 @@ class PauliOperator:
         return sym % 2 == 0
 
     def __mul__(self, other: PauliOperator) -> PauliOperator:
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        x = self.x ^ other.x
-        z = self.z ^ other.z
-        # Reduce per-qubit letter products via Y = i*X*Z: rewrite each
-        # factor in X-before-Z order, commute the inner Z past X, restore.
-        phase = (
-            self.phase
-            + other.phase
-            + (self.x & self.z).bit_count()
-            + (other.x & other.z).bit_count()
-            + 2 * (self.z & other.x).bit_count()
-            - (x & z).bit_count()
-        ) % 4
-        return PauliOperator(self.n, x, z, phase)
+        return product((self, other), self.n)
 
     def negated(self) -> PauliOperator:
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) % 4)
@@ -174,10 +159,18 @@ def identity(n: int) -> PauliOperator:
 
 
 def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
-    out = identity(n)
+    """Ordered product of ``ops``, all on ``n`` qubits, with its exact phase."""
+    # Rewrite each factor in X-before-Z order via Y = i*X*Z (exponent c =
+    # phase + |x & z|); moving a factor's X past the accumulated Z costs
+    # (-1)**|z & x|.  Restore Y letters once at the end.
+    x = z = c = 0
     for op in ops:
-        out = out * op
-    return out
+        if op.n != n:
+            raise ValueError(f"qubit counts differ: {op.n} vs {n}")
+        c += op.phase + (op.x & op.z).bit_count() + 2 * (z & op.x).bit_count()
+        x ^= op.x
+        z ^= op.z
+    return PauliOperator(n, x, z, (c - (x & z).bit_count()) % 4)
 
 
 def gf2_rank(rows: Iterable[Iterable[int] | int]) -> int:
@@ -203,9 +196,10 @@ class StabilizerGroup:
                 raise ValueError(f"generator {g} is not on {self.n} qubits")
             if g.phase not in (0, 2):
                 raise ValueError(f"generator {g} is not Hermitian with sign +-1")
-        for a, b in combinations(self.generators, 2):
-            if not a.commutes_with(b):
-                raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
+        for i, a in enumerate(self.generators):
+            for b in self.generators[i + 1 :]:
+                if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
+                    raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
         rows = [g.symplectic_row() for g in self.generators]
         if gf2.rank_packed(rows) != len(rows):
             raise ValueError("generators are GF(2)-dependent")
@@ -315,25 +309,22 @@ def reduce_generators(
     for op in ops:
         if op.phase not in (0, 2):
             raise ValueError(f"{op} is not Hermitian with sign +-1")
-    for a, b in combinations(ops, 2):
-        if not a.commutes_with(b):
-            raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
-    elim = gf2.Eliminator()
-    kept: list[PauliOperator] = []
-    for op in ops:
         if op.n != n:
             raise ValueError(f"qubit counts differ: {op.n} vs {n}")
-        relation = elim.add(op.symplectic_row())
+    elim = gf2.Eliminator()
+    relations = [elim.add(op.symplectic_row()) for op in ops]
+    # The kept rows span every input, so by bilinearity of the symplectic
+    # form they commute exactly when all inputs do: the group's own check
+    # covers the inputs, and it runs before any sign is compared.
+    group = StabilizerGroup(n, tuple(op for op, r in zip(ops, relations) if r is None))
+    for op, relation in zip(ops, relations):
         if relation is None:
-            kept.append(op)
             continue
         # op's pattern is spanned by earlier keepers; check the exact sign.
         top = relation.bit_length() - 1
-        witness = product(
-            (ops[i] for i in range(top) if (relation >> i) & 1), n
-        )
+        witness = product((ops[i] for i in gf2.set_bits(relation ^ (1 << top))), n)
         if witness.phase != op.phase:
             raise MinusIdentityError(
                 f"{op} and the spanned product {witness} differ by -1"
             )
-    return StabilizerGroup(n, tuple(kept))
+    return group

@@ -67,6 +67,27 @@ class TestFeasibilityCommand:
         assert "line" in err
 
 
+    @pytest.mark.parametrize(
+        "sides, index",
+        [([[0, 7]], "index 7"), ([[-1]], "index -1"), ([[0, True]], "index True")],
+    )
+    def test_bad_bipartition_index_exit_two(self, tmp_path, capsys, sides, index):
+        # star_topology has 5 clients; an index past them used to escape as
+        # an IndexError (exit 1, read as "infeasible")
+        path = tmp_path / "parts.json"
+        path.write_text(json.dumps(sides))
+        code, out, err = run(
+            capsys,
+            "feasibility",
+            "--topology", fixture("star_topology.json"),
+            "--target", fixture("kite_target.json"),
+            "--bipartitions", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{path}: bad bipartition list: {index} " in err
+
+
 class TestContractCommand:
     def test_swap_chain(self, capsys):
         code, out, _ = run(
@@ -77,6 +98,18 @@ class TestContractCommand:
         assert data["status"] == "PURE"
         assert data["residual"] == ["+XX", "+ZZ"]
         assert data["boundary"] == [1, 3]
+
+    def test_fractional_pairing_exit_two(self, tmp_path, capsys):
+        # [0.5, 2] used to run as [0, 2] and exit 0
+        data = json.loads((FIXTURES / "swap_chain_instance.json").read_text())
+        data["pairings"] = [[0.5, 2]]
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "contract", "--instance", str(path))
+        assert code == 2
+        assert out == ""
+        assert "pairings[0][0] must be an integer" in err
+        assert str(path) in err
 
     def test_annihilating_instance_exit_one(self, capsys):
         code, out, _ = run(

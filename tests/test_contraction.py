@@ -1,10 +1,16 @@
+import random
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import reference_contraction
 from conftest import (
     check_against_dense,
     groups_equal,
     random_contraction_instance,
+    random_graph,
 )
 from stabnet import oracle
 from stabnet.contraction import (
@@ -17,11 +23,13 @@ from stabnet.contraction import (
     is_pure_stabilizer_state,
 )
 from stabnet.graphstate import GraphState, stabilizer_generators
-from stabnet.network import repetition_state
+from stabnet.metrics import RegularTreeSpec
+from stabnet.network import repetition_state, to_contraction
 from stabnet.pauli import PauliOperator, StabilizerGroup, parse_pauli
 
 EPR = StabilizerGroup.from_strings(["XX", "ZZ"])
 FIVE = StabilizerGroup.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+FOUR22 = StabilizerGroup.from_strings(["XXXX", "ZZZZ"])
 TRIANGLE_PAIRINGS = ((3, 8), (9, 14), (13, 4))
 NINE_QUBIT = [
     "XZZXIXZZX",
@@ -70,6 +78,25 @@ class TestInstanceValidation:
         assert [g.to_strings() for g in again.node_states] == [
             g.to_strings() for g in inst.node_states
         ]
+
+    @pytest.mark.parametrize(
+        "pairings, offsets, field",
+        [
+            (((0.5, 2),), (0, 2), "pairings[0][0]"),
+            (((0, True),), (0, 2), "pairings[0][1]"),
+            (((1, 3), ("0", 2)), (0, 2), "pairings[1][0]"),
+            (((0, 2),), (0, 2.0), "qubit_offsets[1]"),
+            (((0, 2),), (False, 2), "qubit_offsets[0]"),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, pairings, offsets, field):
+        # int() used to coerce these silently: 0.5 -> 0, True -> 1
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ContractionInstance((EPR, EPR), pairings, offsets=offsets)
+
+    def test_pairing_must_be_a_pair(self):
+        with pytest.raises(ValueError, match=re.escape("pairings[0]")):
+            ContractionInstance((EPR, EPR), ((0, 2, 3),))
 
     def test_json_defaults(self):
         # offsets default to cumulative blocks, convention to plus-pair
@@ -259,3 +286,77 @@ class TestContractSingleElement:
         s = parse_pauli("YYI")
         out = contract_single_element(s, [(0, 1)], BellConvention.PLUS_PAIR)
         assert out is not None and out.to_string() == "-I"
+
+
+def code_instance(rng: random.Random) -> ContractionInstance:
+    """Code-space nodes (so MIXED results occur) under random pairings."""
+    nodes = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 2:
+            graph = stabilizer_generators(random_graph(rng, rng.randint(2, 4)))
+            nodes.append(StabilizerGroup(graph.n, graph.generators[1:]))
+        else:
+            nodes.append((FIVE, FOUR22)[kind])
+    total = sum(g.n for g in nodes)
+    qubits = rng.sample(range(total), total)
+    pairings = tuple(
+        (qubits[2 * k], qubits[2 * k + 1]) for k in range(rng.randint(0, total // 2))
+    )
+    return ContractionInstance(tuple(nodes), pairings, rng.choice(list(BellConvention)))
+
+
+def relay_tree(rng: random.Random, n: int, p: int, relays: str, convention):
+    """``RegularTreeSpec(n, p)`` lowered with repetition or random
+    connected graph-state relays."""
+    topology = RegularTreeSpec(n, p).as_topology()
+    degree = Counter()
+    for u, v, channels in topology.edges:
+        degree[u] += channels
+        degree[v] += channels
+    assignment = {}
+    for relay in topology.relays:
+        if relays == "repetition":
+            assignment[relay] = repetition_state(degree[relay])
+            continue
+        graph = random_graph(rng, degree[relay])
+        while not graph.is_connected():
+            graph = random_graph(rng, degree[relay])
+        assignment[relay] = stabilizer_generators(graph)
+    return to_contraction(topology, assignment, convention)[0]
+
+
+class TestMatchesReference:
+    """The set-bit engine renders byte-identical results to the plain loops
+    in ``reference_contraction``: same generators, order, signs, exponent."""
+
+    def test_random_instances(self, rng):
+        statuses = Counter()
+        for k in range(300):
+            inst = code_instance(rng) if k % 3 == 2 else random_contraction_instance(rng, 16)
+            result = contract(inst)
+            assert result.to_json() == reference_contraction.contract_json(inst)
+            statuses[result.status] += 1
+        assert all(statuses[s] > 0 for s in Status), statuses
+
+    @pytest.mark.parametrize("convention", list(BellConvention))
+    @pytest.mark.parametrize("n, p", [(2, 6), (3, 3)])
+    def test_graph_relay_trees(self, n, p, convention):
+        inst = relay_tree(random.Random(100 * n + p), n, p, "graph", convention)
+        assert inst.total_qubits > 100
+        result = contract(inst)
+        assert result.status is Status.PURE
+        assert result.to_json() == reference_contraction.contract_json(inst)
+
+    def test_repetition_tree_is_ghz(self):
+        # (2,9) with GHZ relays teleports into the 512-client GHZ state:
+        # +X...X and every +Z_i Z_{i+1} are group members, signs included
+        inst = relay_tree(random.Random(0), 2, 9, "repetition", BellConvention.PLUS_PAIR)
+        result = contract(inst)
+        assert result.status is Status.PURE and len(result.boundary) == 512
+        elim = result.residual.eliminator()
+        for target in repetition_state(512).generators:
+            mask = elim.solve(target.symplectic_row())
+            assert mask is not None
+            chosen = (g for i, g in enumerate(result.residual.generators) if (mask >> i) & 1)
+            assert reference_contraction.product(chosen, 512) == target

@@ -72,3 +72,24 @@ def test_eliminator_reports_dependencies():
     relation = elim.add(0b11)
     assert relation == 0b111  # row2 = row0 ^ row1, own bit included
     assert elim.rank == 2
+
+
+def test_wide_columns_match_shifted_rows():
+    # pivots keyed by column must behave the same far past bit 10 000
+    rng = random.Random(53)
+    for shift in (10_001, 12_345):
+        for _ in range(20):
+            rows = [rng.getrandbits(12) for _ in range(rng.randint(2, 16))]
+            wide = [row << shift for row in rows]
+            assert gf2.left_kernel(wide) == gf2.left_kernel(rows)
+            assert gf2.rank_packed(wide) == gf2.rank_packed(rows)
+            target = rows[0] ^ rows[-1]
+            assert gf2.solve_combination(wide, target << shift) == gf2.solve_combination(
+                rows, target
+            )
+
+
+def test_set_bits():
+    assert list(gf2.set_bits(0)) == []
+    assert list(gf2.set_bits(0b1011)) == [0, 1, 3]
+    assert list(gf2.set_bits(1 << 10_000 | 4)) == [2, 10_000]

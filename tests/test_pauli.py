@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import reference_contraction
 from stabnet import oracle
 from stabnet.pauli import (
     AnticommutingGeneratorsError,
@@ -16,6 +17,7 @@ from stabnet.pauli import (
     identity,
     multiply,
     parse_pauli,
+    product,
     reduce_generators,
 )
 
@@ -118,6 +120,25 @@ class TestMultiply:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             multiply(parse_pauli("X"), parse_pauli("XX"))
+
+    def test_product_is_left_fold(self, rng):
+        # random letters give Y on about a quarter of the qubits; random
+        # phases include the odd ones
+        odd = 0
+        for _ in range(200):
+            n = rng.randint(1, 70)
+            ops = [random_operator(rng, n) for _ in range(rng.randint(0, 6))]
+            folded = identity(n)
+            for op in ops:
+                folded = folded * op
+            assert product(ops, n) == folded
+            assert product(ops, n) == reference_contraction.product(ops, n)
+            odd += folded.phase % 2
+        assert odd > 0
+
+    def test_product_length_mismatch(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            product([parse_pauli("XX"), parse_pauli("X")], 2)
 
 
 class TestCommutes:
@@ -222,6 +243,26 @@ class TestReduceGenerators:
         ops = [parse_pauli(s) for s in ("XX", "ZZ", "YY")]
         with pytest.raises(MinusIdentityError):
             reduce_generators(ops)
+
+    def test_anticommutation_reported_before_signs(self):
+        # -X repeats +X with the other sign, and Z anticommutes with both
+        ops = [parse_pauli(s) for s in ("X", "-X", "Z")]
+        with pytest.raises(AnticommutingGeneratorsError):
+            reduce_generators(ops)
+        ops = [parse_pauli(s) for s in ("XX", "-XX", "ZI")]
+        with pytest.raises(AnticommutingGeneratorsError):
+            reduce_generators(ops)
+
+    def test_flipped_dependent_row(self, rng):
+        # a product of several kept rows with its sign flipped closes onto -I;
+        # the same row with its own sign is dropped as redundant
+        base = list(StabilizerGroup.from_strings(NINE_QUBIT).generators)
+        for _ in range(20):
+            chosen = [g for g in base if rng.random() < 0.5] or base[:2]
+            spanned = product(chosen, 9)
+            assert len(reduce_generators(base + [spanned])) == 6
+            with pytest.raises(MinusIdentityError):
+                reduce_generators(base + [spanned.negated()])
 
     def test_size_equals_symplectic_rank(self, rng):
         base = StabilizerGroup.from_strings(FIVE_QUBIT).generators
