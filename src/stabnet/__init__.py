@@ -2,8 +2,8 @@
 
 Symplectic GF(2) Pauli algebra, graph states and their entanglement
 ranks, Bell-pair contraction of node states, min-cut feasibility of
-target states on a topology, and stabilizer-code composition, all
-cross-checked by a small dense-vector oracle.
+target states on a topology, and stabilizer-code composition.  The
+test suite cross-checks them against a dense state-vector oracle.
 """
 
 from .codes import (
@@ -21,8 +21,6 @@ from .contraction import (
     ContractionResult,
     Status,
     contract,
-    contract_single_element,
-    is_pure_stabilizer_state,
 )
 from .graphstate import (
     Bipartition,
@@ -55,10 +53,6 @@ from .pauli import (
     PauliOperator,
     PauliParseError,
     StabilizerGroup,
-    commutes,
-    contains,
-    gf2_rank,
-    multiply,
     parse_pauli,
     reduce_generators,
 )

@@ -5,7 +5,8 @@ topology), ``contract`` (run a contraction instance), ``code`` (compose /
 distance / bounds), ``metrics`` (latency, memory, channel and success
 sweeps as CSV).  Structured results are JSON with sorted keys so reruns
 are byte-identical; exit codes are 0 for success or an affirmative
-verdict, 1 for a negative verdict, 2 for usage or input errors.
+verdict, 1 for a negative verdict, 2 for usage or input errors and 3 for
+an internal error (a bug, never a verdict).
 
 File formats are documented in FORMATS.md at the repository root.  The
 distance enumeration budget can be overridden with the environment
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -35,10 +35,12 @@ from .contraction import BellConvention, ContractionInstance, Status, contract
 from .graphstate import Bipartition, GraphState
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
 from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, feasibility
+from .pauli import require_int
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 class CliError(Exception):
@@ -63,20 +65,6 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _load_graph(path: str) -> GraphState:
-    text = _read(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        if "bits" in data:
-            return GraphState.from_bitstring(int(data["n"]), data["bits"])
-        return GraphState.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def _load_json(path: str, loader, what: str):
     text = _read(path)
     try:
@@ -90,14 +78,15 @@ def _load_json(path: str, loader, what: str):
 def _side(side: list, count: int) -> list:
     """A side's client indices, each an int in 0..count-1."""
     for i in side:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < count:
-            raise ValueError(f"index {i!r} is not a client index in 0..{count - 1}")
+        require_int(i, f"index {i!r}")
+        if not 0 <= i < count:
+            raise ValueError(f"index {i} is not a client index in 0..{count - 1}")
     return side
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
-    target = _load_graph(args.target)
+    target = _load_json(args.target, GraphState.from_json, "target graph")
     clients = args.clients.split(",") if args.clients else list(topology.clients)
     parts = None
     if args.bipartitions is not None:
@@ -105,6 +94,8 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         count = len(clients)
         try:
             parts = [Bipartition.split(count, _side(side, count)) for side in sides]
+            if not parts:
+                raise ValueError("the list is empty, so nothing would be checked")
         except (TypeError, ValueError) as exc:
             raise CliError(f"{args.bipartitions}: bad bipartition list: {exc}") from exc
     verdict = feasibility(
@@ -195,28 +186,23 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     header = "n,p,scheme,latency,memory,channels,p_success"
     noise = NoiseSpec(args.noise) if args.noise is not None else None
 
+    def p_success(channels: int) -> str:
+        return "" if noise is None else f"{success_probability(noise, channels):.12g}"
+
     if args.topology is not None:
         topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
         for scheme in (Scheme.LQC, Scheme.EPR):
             channels = channel_count(topology, scheme, center=args.center)
-            p_success = (
-                "" if noise is None else f"{success_probability(noise, channels):.12g}"
-            )
-            rows.append(f",,{scheme.value},,,{channels},{p_success}")
+            rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
     elif args.n is not None and args.p is not None:
         for n in _parse_range(args.n):
             for p in _parse_range(args.p):
                 spec = RegularTreeSpec(n, p)
                 for scheme in (Scheme.LQC, Scheme.EPR):
                     channels = channel_count(spec, scheme)
-                    p_success = (
-                        ""
-                        if noise is None
-                        else f"{success_probability(noise, channels):.12g}"
-                    )
                     rows.append(
                         f"{n},{p},{scheme.value},{latency(spec, scheme)},"
-                        f"{memory_qubits(spec, scheme)},{channels},{p_success}"
+                        f"{memory_qubits(spec, scheme)},{channels},{p_success(channels)}"
                     )
     _emit("\n".join([header] + rows), args.out)
     return EXIT_OK
@@ -227,12 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stabnet",
         description="Stabilizer-state distribution toolkit: feasibility, "
         "contraction, code composition, and comparison metrics.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="seed for randomized operations; the bundled commands are "
-        "deterministic, the flag keeps scripted reruns reproducible",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.func(args)
     except CliError as exc:
@@ -307,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a bug must not read as a negative verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

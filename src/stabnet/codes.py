@@ -24,11 +24,9 @@ from .contraction import (
     Status,
     contract,
 )
-from .pauli import PauliOperator, StabilizerGroup
+from .pauli import StabilizerGroup, require_int
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 class CompositionError(RuntimeError):
@@ -66,6 +64,9 @@ class StabilizerCode:
     @classmethod
     def from_json(cls, text: str) -> StabilizerCode:
         data = json.loads(text)
+        for name in ("n", "k", "distance"):
+            if name in data:
+                require_int(data[name], name)
         group = StabilizerGroup.from_strings(data["generators"], n=data.get("n"))
         if "k" in data and data["k"] != group.n - len(group.generators):
             raise ValueError(
@@ -96,7 +97,7 @@ def compose(
     inst = ContractionInstance(
         node_states=tuple(c.group for c in codes),
         pairings=tuple(pairings),
-        convention=BellConvention.coerce(convention),
+        convention=convention,
     )
     result = contract(inst)
     if result.status is Status.ANNIHILATED:
@@ -123,10 +124,9 @@ def distance(
     elim = code.group.eliminator()
     for w in range(1, min(weight_cap, n) + 1):
         for positions in combinations(range(n), w):
-            for letters in iproduct("XYZ", repeat=w):
+            for letters in iproduct(((1, 0), (1, 1), (0, 1)), repeat=w):  # X, Y, Z
                 x = z = 0
-                for q, letter in zip(positions, letters):
-                    xb, zb = _LETTER_BITS[letter]
+                for q, (xb, zb) in zip(positions, letters):
                     x |= xb << q
                     z |= zb << q
                 if any(
@@ -156,13 +156,3 @@ def storage_bound(boundary: int, m: int, l: int, k: int, d: int) -> int:
         raise ValueError(f"boundary {boundary} cannot store {k * m} logical qubits")
     return (boundary + m * l - 2 * m * (d - 1) - 2 * k * m) // 2 + 1
 
-
-def correctable_single_errors(code: StabilizerCode) -> bool:
-    """Every weight-1 Pauli anticommutes with at least one generator."""
-    for q in range(code.n):
-        for letter in "XYZ":
-            xb, zb = _LETTER_BITS[letter]
-            err = PauliOperator(code.n, xb << q, zb << q, 0)
-            if all(err.commutes_with(g) for g in code.group.generators):
-                return False
-    return True

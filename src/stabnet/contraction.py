@@ -20,7 +20,7 @@ instance ignores the usual connectivity assumption.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +31,7 @@ from .pauli import (
     StabilizerGroup,
     product,
     reduce_generators,
+    require_int,
 )
 
 
@@ -39,12 +40,6 @@ class BellConvention(Enum):
 
     PLUS_PAIR = "plus-pair"  # |00>+|11>: stabilizers +XX, +ZZ (group closes with -YY)
     GRAPH_EDGE = "graph-edge"  # CZ|++>:   stabilizers +XZ, +ZX (group closes with +YY)
-
-    @classmethod
-    def coerce(cls, value: BellConvention | str) -> BellConvention:
-        if isinstance(value, cls):
-            return value
-        return cls(value)
 
 
 _BELL_PATTERNS = {
@@ -95,10 +90,10 @@ class ContractionInstance:
             if len(pair) != 2:
                 raise ValueError(f"pairings[{k}] has {len(pair)} entries, expected 2")
             for side, q in enumerate(pair):
-                _require_int(q, f"pairings[{k}][{side}]")
+                require_int(q, f"pairings[{k}][{side}]")
         for k, off in enumerate(self.offsets):
-            _require_int(off, f"qubit_offsets[{k}]")
-        object.__setattr__(self, "convention", BellConvention.coerce(self.convention))
+            require_int(off, f"qubit_offsets[{k}]")
+        object.__setattr__(self, "convention", BellConvention(self.convention))
         if not self.node_states:
             raise ValueError("need at least one node state")
         if not self.offsets:
@@ -251,89 +246,8 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     return ContractionResult(status, residual, boundary, exponent)
 
 
-def _require_int(value: object, field: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-
-
 def _spread(qubits: Iterable[int]) -> int:
     mask = 0
     for q in qubits:
         mask |= 1 << q
     return mask
-
-
-def contract_single_element(
-    s: PauliOperator,
-    pairings: Sequence[tuple[int, int]],
-    convention: BellConvention | str = BellConvention.PLUS_PAIR,
-) -> PauliOperator | None:
-    """Boundary restriction of one stabilizer element, if it survives.
-
-    ``s`` survives when its letters on every contracted pair match a Bell
-    group element (pattern-wise); the accumulated sign is exact.  Returns
-    None as soon as one pair mismatches.
-    """
-    convention = BellConvention.coerce(convention)
-    elements = {e.pattern: e for e in bell_group(convention).elements()}
-    n = s.n
-    acc = s
-    paired: list[int] = []
-    for i, j in pairings:
-        pattern = (
-            ((s.x >> i) & 1) | (((s.x >> j) & 1) << 1),
-            ((s.z >> i) & 1) | (((s.z >> j) & 1) << 1),
-        )
-        match = elements.get(pattern)
-        if match is None:
-            return None
-        acc = acc * _embed_pair(match, i, j, n)
-        paired.extend((i, j))
-    boundary = [q for q in range(n) if q not in paired]
-    if acc.phase not in (0, 2):
-        raise AssertionError("surviving element has a non-Hermitian phase")
-    if not boundary:
-        return acc
-    return acc.restricted_to(boundary)
-
-
-def _embed_pair(op2: PauliOperator, i: int, j: int, n: int) -> PauliOperator:
-    """Embed a 2-qubit operator with its qubits 0, 1 mapped to i, j."""
-    x = (((op2.x >> 0) & 1) << i) | (((op2.x >> 1) & 1) << j)
-    z = (((op2.z >> 0) & 1) << i) | (((op2.z >> 1) & 1) << j)
-    return PauliOperator(n, x, z, op2.phase)
-
-
-@dataclass(frozen=True)
-class PurityCertificate:
-    pure: bool
-    generator_count: int
-    boundary_size: int
-    annihilated: bool
-
-    def __bool__(self) -> bool:
-        return self.pure
-
-
-def is_pure_stabilizer_state(result: ContractionResult) -> PurityCertificate:
-    """PURE iff the residual has one independent generator per boundary qubit."""
-    return PurityCertificate(
-        pure=result.status is Status.PURE,
-        generator_count=len(result.residual),
-        boundary_size=len(result.boundary),
-        annihilated=result.status is Status.ANNIHILATED,
-    )
-
-
-__all__ = [
-    "BellConvention",
-    "ContractionInstance",
-    "ContractionResult",
-    "PurityCertificate",
-    "Status",
-    "bell_generators",
-    "bell_group",
-    "contract",
-    "contract_single_element",
-    "is_pure_stabilizer_state",
-]

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import gf2
-from .pauli import PauliOperator, StabilizerGroup
+from .pauli import PauliOperator, StabilizerGroup, require_int
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,17 @@ class GraphState:
 
     @classmethod
     def from_json(cls, text: str) -> GraphState:
+        """A graph file: ``n`` plus an ``edges`` list or a ``bits`` string."""
         data = json.loads(text)
-        return cls.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+        n = require_int(data["n"], "n")
+        if "bits" in data:
+            return cls.from_bitstring(n, data["bits"])
+        edges = []
+        for k, edge in enumerate(data["edges"]):
+            if len(edge) != 2:
+                raise ValueError(f"edges[{k}] has {len(edge)} entries, expected 2")
+            edges.append(tuple(require_int(v, f"edges[{k}][{s}]") for s, v in enumerate(edge)))
+        return cls.from_edges(n, edges)
 
     def to_bitstring(self) -> str:
         """Row-major upper triangle: bit for (u, v) with u < v."""

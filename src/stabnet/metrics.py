@@ -11,7 +11,6 @@ independent per-channel survival probability.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,18 +141,7 @@ def _epr_channels(t: NetworkTopology, center: str | None) -> int:
 
 
 def _total_hops(t: NetworkTopology, source: str, clients: tuple[str, ...]) -> int:
-    adj: dict[str, list[str]] = {i: [] for i in t.node_ids}
-    for u, v, _ in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in dist:
-                dist[b] = dist[a] + 1
-                queue.append(b)
+    dist = t.hops_from(source)
     missing = [c for c in clients if c not in dist]
     if missing:
         raise ValueError(f"clients unreachable from {source!r}: {missing}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .contraction import BellConvention, ContractionInstance, bell_group
 from .graphstate import Bipartition, GraphState, entanglement_rank
-from .pauli import PauliOperator, StabilizerGroup
+from .pauli import PauliOperator, StabilizerGroup, require_int
 
 DEFAULT_MAX_CLIENTS = 20
 
@@ -45,7 +45,12 @@ class NetworkTopology:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple((str(i), str(r)) for i, r in self.nodes))
         object.__setattr__(
-            self, "edges", tuple((str(u), str(v), int(c)) for u, v, c in self.edges)
+            self,
+            "edges",
+            tuple(
+                (str(u), str(v), require_int(c, f"edges[{k}].channels"))
+                for k, (u, v, c) in enumerate(self.edges)
+            ),
         )
         ids = [i for i, _ in self.nodes]
         if len(set(ids)) != len(ids):
@@ -81,22 +86,24 @@ class NetworkTopology:
     def degree_channels(self, node: str) -> int:
         return sum(c for u, v, c in self.edges if node in (u, v))
 
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        seen = {self.nodes[0][0]}
-        frontier = deque(seen)
+    def hops_from(self, source: str) -> dict[str, int]:
+        """Breadth-first hop count from ``source`` to every node it reaches."""
         adj: dict[str, list[str]] = {i: [] for i in self.node_ids}
         for u, v, _ in self.edges:
             adj[u].append(v)
             adj[v].append(u)
+        dist = {source: 0}
+        frontier = deque([source])
         while frontier:
             a = frontier.popleft()
             for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
+                if b not in dist:
+                    dist[b] = dist[a] + 1
                     frontier.append(b)
-        return len(seen) == len(self.nodes)
+        return dist
+
+    def is_connected(self) -> bool:
+        return not self.nodes or len(self.hops_from(self.nodes[0][0])) == len(self.nodes)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -302,7 +309,7 @@ def to_contraction(
     from node id to the global qubits it holds; the boundary is exactly
     the client-held qubits.
     """
-    convention = BellConvention.coerce(convention)
+    convention = BellConvention(convention)
     roles = t.roles
     for node in assignment:
         if roles.get(node) != "relay":

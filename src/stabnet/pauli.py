@@ -44,6 +44,14 @@ class MinusIdentityError(ValueError):
     """The generated group contains -I (downstream: an annihilated projection)."""
 
 
+def require_int(value: object, field: str) -> int:
+    """``value`` if it is an integer; JSON floats and booleans are refused,
+    never rounded.  Every numeric input field goes through this check."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A signed Pauli string on ``n`` qubits."""
@@ -69,11 +77,6 @@ class PauliOperator:
     @property
     def z_bits(self) -> tuple[int, ...]:
         return gf2.unpack_row(self.z, self.n)
-
-    @property
-    def pattern(self) -> tuple[int, int]:
-        """The unsigned (x, z) bit pattern."""
-        return (self.x, self.z)
 
     def is_identity_pattern(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -146,14 +149,6 @@ def parse_pauli(text: str, n: int | None = None) -> PauliOperator:
     return PauliOperator(count, x, z, phase)
 
 
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    return p * q
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    return p.commutes_with(q)
-
-
 def identity(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 0, 0)
 
@@ -171,12 +166,6 @@ def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
         x ^= op.x
         z ^= op.z
     return PauliOperator(n, x, z, (c - (x & z).bit_count()) % 4)
-
-
-def gf2_rank(rows: Iterable[Iterable[int] | int]) -> int:
-    """GF(2) rank of a list of bit-vectors (0/1 sequences or packed ints)."""
-    packed = (row if isinstance(row, int) else gf2.pack_row(row) for row in rows)
-    return gf2.rank_packed(packed)
 
 
 @dataclass(frozen=True)
@@ -284,11 +273,6 @@ class StabilizerGroup:
         ]
         supported_inside = len(gf2.left_kernel(restricted))
         return len(inside) - supported_inside
-
-
-def contains(group: StabilizerGroup, p: PauliOperator) -> bool:
-    """True iff ``p`` (sign included) is a product of the generators."""
-    return group.decompose(p) is not None
 
 
 def reduce_generators(

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from stabnet import oracle
+import dense_oracle as oracle
 from stabnet.contraction import (
     BellConvention,
     ContractionInstance,

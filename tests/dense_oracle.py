@@ -1,8 +1,9 @@
-"""Dense state-vector reference implementation (test support).
+"""Reference implementations for the tests: a dense state-vector oracle
+and a second, element-wise contraction path.
 
 Everything in the package that manipulates stabilizer groups is checked
 against these brute-force routines on small systems.  Nothing here is
-meant to be fast and nothing here is part of the public tool surface.
+meant to be fast, and the tool itself never imports this module.
 
 Conventions: qubit 0 is the most significant bit of the amplitude index,
 matching the leftmost letter of a Pauli string, so the basis state
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import GraphState
-from .pauli import PauliOperator, StabilizerGroup
+from stabnet.contraction import BellConvention, bell_group
+from stabnet.graphstate import GraphState
+from stabnet.pauli import PauliOperator, StabilizerGroup
 
 DEFAULT_CAP = 12
 
@@ -284,3 +286,44 @@ def reduced_rank(state: DenseState, subset: Sequence[int], tol: float = 1e-9) ->
     tensor = state.normalized().amplitudes.reshape([2] * state.n)
     m = tensor.transpose(subset + rest).reshape(1 << len(subset), -1)
     return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
+
+
+def contract_single_element(
+    s: PauliOperator,
+    pairings: Sequence[tuple[int, int]],
+    convention: BellConvention | str = BellConvention.PLUS_PAIR,
+) -> PauliOperator | None:
+    """Boundary restriction of one stabilizer element, if it survives.
+
+    ``s`` survives when its letters on every contracted pair match a Bell
+    group element (pattern-wise); the accumulated sign is exact.  Returns
+    None as soon as one pair mismatches.
+    """
+    convention = BellConvention(convention)
+    elements = {(e.x, e.z): e for e in bell_group(convention).elements()}
+    n = s.n
+    acc = s
+    paired: list[int] = []
+    for i, j in pairings:
+        pattern = (
+            ((s.x >> i) & 1) | (((s.x >> j) & 1) << 1),
+            ((s.z >> i) & 1) | (((s.z >> j) & 1) << 1),
+        )
+        match = elements.get(pattern)
+        if match is None:
+            return None
+        acc = acc * _embed_pair(match, i, j, n)
+        paired.extend((i, j))
+    boundary = [q for q in range(n) if q not in paired]
+    if acc.phase not in (0, 2):
+        raise AssertionError("surviving element has a non-Hermitian phase")
+    if not boundary:
+        return acc
+    return acc.restricted_to(boundary)
+
+
+def _embed_pair(op2: PauliOperator, i: int, j: int, n: int) -> PauliOperator:
+    """Embed a 2-qubit operator with its qubits 0, 1 mapped to i, j."""
+    x = (((op2.x >> 0) & 1) << i) | (((op2.x >> 1) & 1) << j)
+    z = (((op2.z >> 0) & 1) << i) | (((op2.z >> 1) & 1) << j)
+    return PauliOperator(n, x, z, op2.phase)

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stabnet.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -16,6 +20,15 @@ def run(capsys, *argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def edited_fixture(tmp_path, name, edit):
+    """A copy of fixture ``name`` after ``edit`` changed its JSON data."""
+    data = json.loads((FIXTURES / name).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestFeasibilityCommand:
@@ -86,6 +99,22 @@ class TestFeasibilityCommand:
         assert code == 2
         assert out == ""
         assert f"{path}: bad bipartition list: {index} " in err
+
+    def test_empty_bipartition_list_exit_two(self, tmp_path, capsys):
+        # [] would give "feasible": true over an empty table: a verdict
+        # with nothing checked
+        path = tmp_path / "parts.json"
+        path.write_text("[]")
+        code, out, err = run(
+            capsys,
+            "feasibility",
+            "--topology", fixture("star_topology.json"),
+            "--target", fixture("kite_target.json"),
+            "--bipartitions", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{path}: bad bipartition list: " in err
 
 
 class TestContractCommand:
@@ -217,6 +246,94 @@ class TestMetricsCommand:
         code, out, _ = run(capsys, "metrics")
         assert code == 0
         assert out.strip() == "n,p,scheme,latency,memory,channels,p_success"
+
+
+class TestNumericFields:
+    """A numeric input field that is not a JSON integer exits 2 naming the
+    file and the field; it is never rounded or compared loosely."""
+
+    @pytest.mark.parametrize(
+        "option, name, edit, message",
+        [
+            pytest.param(
+                "--topology", "star_topology.json",
+                lambda d: d["edges"][0].update(channels=1.5),
+                "bad topology: edges[0].channels must be an integer, got 1.5",
+                id="channels",
+            ),
+            pytest.param(
+                "--target", "kite_target.json",
+                lambda d: (d.pop("edges"), d.update(n=5.7, bits="1" * 10)),
+                "bad target graph: n must be an integer, got 5.7",
+                id="graph-n",
+            ),
+            pytest.param(
+                "--target", "kite_target.json",
+                lambda d: d["edges"].__setitem__(0, [0, True]),
+                "bad target graph: edges[0][1] must be an integer, got True",
+                id="graph-edge",
+            ),
+        ],
+    )
+    def test_feasibility_inputs(self, tmp_path, capsys, option, name, edit, message):
+        files = {"--topology": fixture("star_topology.json"), "--target": fixture("kite_target.json")}
+        files[option] = edited_fixture(tmp_path, name, edit)
+        code, out, err = run(capsys, "feasibility", *(a for pair in files.items() for a in pair))
+        assert code == 2
+        assert out == ""
+        assert f"{files[option]}: {message}" in err
+
+    @pytest.mark.parametrize("field, value", [("n", 5.0), ("k", "1"), ("distance", 3.5)])
+    def test_code_fields(self, tmp_path, capsys, field, value):
+        path = edited_fixture(tmp_path, "five_qubit_code.json", lambda d: d.update({field: value}))
+        code, out, err = run(capsys, "code", "distance", path)
+        assert code == 2
+        assert out == ""
+        assert f"{path}: bad code: {field} must be an integer, got {value!r}" in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        # exit 1 means "infeasible / annihilated"; a crash must not read so
+        def broken(inst):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr("stabnet.cli.contract", broken)
+        code, out, err = run(
+            capsys, "contract", "--instance", fixture("swap_chain_instance.json")
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: engine bug\n"
+
+
+# Runs the README commands in a fresh interpreter where importing numpy fails.
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from stabnet.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_readme_commands_run_without_numpy():
+    expected = json.loads((ROOT / "bench" / "expected" / "cli.json").read_text())
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps([e["argv"] for e in expected])],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[e["exit"], e["stdout"]] for e in expected]
 
 
 class TestDeterminism:

@@ -12,15 +12,13 @@ from conftest import (
     random_contraction_instance,
     random_graph,
 )
-from stabnet import oracle
+import dense_oracle as oracle
 from stabnet.contraction import (
     BellConvention,
     ContractionInstance,
     Status,
     bell_group,
     contract,
-    contract_single_element,
-    is_pure_stabilizer_state,
 )
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.metrics import RegularTreeSpec
@@ -146,15 +144,13 @@ class TestContract:
         assert res.status is Status.PURE
         assert groups_equal(res.residual, group)
         assert res.log_norm_exponent == 0
-        assert bool(is_pure_stabilizer_state(res))
 
     def test_annihilation(self):
         edge = stabilizer_generators(GraphState.from_edges(2, [(0, 1)]))
         inst = ContractionInstance((edge,), ((0, 1),), BellConvention.PLUS_PAIR)
         res = contract(inst)
         assert res.status is Status.ANNIHILATED
-        cert = is_pure_stabilizer_state(res)
-        assert not cert.pure and cert.annihilated
+        assert res.status is not Status.PURE
         check_against_dense(inst)
 
     def test_full_contraction_to_scalar(self):
@@ -263,19 +259,19 @@ class TestContract:
 class TestContractSingleElement:
     def test_known_surviving_element(self):
         s = parse_pauli("ZXIXZ" + "IXZZX" + "ZXIXZ")
-        out = contract_single_element(s, TRIANGLE_PAIRINGS, BellConvention.GRAPH_EDGE)
+        out = oracle.contract_single_element(s, TRIANGLE_PAIRINGS, BellConvention.GRAPH_EDGE)
         assert out is not None and out.to_string() == "+ZXIIXZZXI"
 
     def test_identity_survives(self):
         s = PauliOperator(4, 0, 0, 0)
-        out = contract_single_element(s, [(0, 2)], BellConvention.PLUS_PAIR)
+        out = oracle.contract_single_element(s, [(0, 2)], BellConvention.PLUS_PAIR)
         assert out == PauliOperator(2, 0, 0, 0)
 
     def test_mismatched_pair_dies(self):
         # bare X on one contracted qubit, I on its partner: the dense
         # overlap <e| X (x) I |e> is zero, so nothing survives
         s = parse_pauli("XII")
-        assert contract_single_element(s, [(0, 1)], BellConvention.PLUS_PAIR) is None
+        assert oracle.contract_single_element(s, [(0, 1)], BellConvention.PLUS_PAIR) is None
         bell = oracle.bell_vector(BellConvention.PLUS_PAIR)
         x_on_half = oracle.apply_pauli(bell, parse_pauli("XI"))
         assert abs(np.vdot(bell.amplitudes, x_on_half.amplitudes)) < 1e-12
@@ -284,8 +280,40 @@ class TestContractSingleElement:
         # -YY on a plus-pair is a Bell group member: the survivor picks up
         # the matching element's sign
         s = parse_pauli("YYI")
-        out = contract_single_element(s, [(0, 1)], BellConvention.PLUS_PAIR)
+        out = oracle.contract_single_element(s, [(0, 1)], BellConvention.PLUS_PAIR)
         assert out is not None and out.to_string() == "-I"
+
+    def test_survivors_are_the_residual_group(self, rng):
+        # the element-wise path is a second contraction engine: the
+        # surviving restrictions of the whole node group are exactly the
+        # residual group's elements, and -I survives iff it annihilates
+        statuses = Counter()
+        for k in range(240):
+            inst = code_instance(rng) if k % 3 == 2 else random_contraction_instance(rng)
+            n = inst.total_qubits
+            node_group = StabilizerGroup(
+                n,
+                tuple(
+                    g.embed(n, off)
+                    for group, off in zip(inst.node_states, inst.offsets)
+                    for g in group.generators
+                ),
+            )
+            survivors = set()
+            for e in node_group.elements():
+                out = oracle.contract_single_element(e, inst.pairings, inst.convention)
+                if out is not None:
+                    survivors.add(out.to_string())
+            result = contract(inst)
+            statuses[result.status] += 1
+            width = len(inst.boundary) or n  # no boundary: survivors stay on all n
+            if result.status is Status.ANNIHILATED:
+                assert "-" + "I" * width in survivors
+            elif inst.boundary:
+                assert survivors == {e.to_string() for e in result.residual.elements()}
+            else:
+                assert survivors == {"+" + "I" * width}
+        assert all(statuses[s] > 0 for s in Status), statuses
 
 
 def code_instance(rng: random.Random) -> ContractionInstance:

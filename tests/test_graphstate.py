@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_graph
-from stabnet import oracle
+import dense_oracle as oracle
 from stabnet.contraction import BellConvention, ContractionInstance, Status, contract
 from stabnet.graphstate import (
     Bipartition,
@@ -36,6 +38,13 @@ class TestGraphState:
     def test_bitstring_round_trip(self):
         g = GraphState.from_edges(4, [(0, 2), (1, 3), (2, 3)])
         assert GraphState.from_bitstring(4, g.to_bitstring()).rows == g.rows
+
+    def test_json_edges_and_bits_forms_agree(self, rng):
+        for n in range(1, 8):
+            g = random_graph(rng, n)
+            edges = GraphState.from_json(g.to_json())
+            bits = GraphState.from_json(json.dumps({"n": n, "bits": g.to_bitstring()}))
+            assert edges == bits == GraphState(n, g.rows)
 
     def test_bitstring_length_checked(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from conftest import (
     random_connected_topology,
     rank_spectrum,
 )
-from stabnet import oracle
+import dense_oracle as oracle
 from stabnet.contraction import Status, contract
 from stabnet.graphstate import Bipartition, GraphState, bipartitions, stabilizer_generators
 from stabnet.network import (

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from stabnet import oracle
+import dense_oracle as oracle
 from stabnet.contraction import BellConvention, ContractionInstance, Status, contract
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.network import repetition_state
