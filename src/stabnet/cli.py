@@ -34,7 +34,7 @@ from .codes import (
 from .contraction import BellConvention, ContractionInstance, Status, contract
 from .graphstate import Bipartition, GraphState
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
-from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, feasibility
+from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
 from .pauli import require_int
 
 EXIT_OK = 0
@@ -88,6 +88,10 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
     target = _load_json(args.target, GraphState.from_json, "target graph")
     clients = args.clients.split(",") if args.clients else list(topology.clients)
+    try:
+        check_clients(topology, clients)
+    except ValueError as exc:
+        raise CliError(f"--clients: {exc}") from exc
     parts = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
@@ -174,11 +178,12 @@ def cmd_code(args: argparse.Namespace) -> int:
     raise CliError(f"unknown code subcommand {args.code_command!r}")
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+def _parse_range(option: str, text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{option}: bad range {text!r}, expected a value like 3, a list like 2,4 or a range like 1..6") from None
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -194,9 +199,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         for scheme in (Scheme.LQC, Scheme.EPR):
             channels = channel_count(topology, scheme, center=args.center)
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
-    elif args.n is not None and args.p is not None:
-        for n in _parse_range(args.n):
-            for p in _parse_range(args.p):
+    elif (args.n is None) != (args.p is None):
+        missing, given = ("--p", "--n") if args.p is None else ("--n", "--p")
+        raise CliError(f"{missing} is required with {given}")
+    elif args.n is not None:
+        for n in _parse_range("--n", args.n):
+            for p in _parse_range("--p", args.p):
                 spec = RegularTreeSpec(n, p)
                 for scheme in (Scheme.LQC, Scheme.EPR):
                     channels = channel_count(spec, scheme)

@@ -159,8 +159,8 @@ class Bipartition:
         object.__setattr__(self, "b", tuple(sorted(self.b)))
         if not self.a or not self.b:
             raise ValueError("both sides must be nonempty")
-        if set(self.a) & set(self.b):
-            raise ValueError("sides overlap")
+        if len(set(self.a) | set(self.b)) < len(self.a) + len(self.b):
+            raise ValueError("sides overlap or repeat a vertex")
 
     @classmethod
     def split(cls, n: int, a_side: Iterable[int]) -> Bipartition:
@@ -175,12 +175,13 @@ class Bipartition:
 
 
 def bipartitions(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of range(n), side A always containing vertex 0."""
-    rest = list(range(1, n))
-    for mask in range(1 << (n - 1)):
-        a = [0] + [rest[i] for i in range(n - 1) if (mask >> i) & 1]
-        if len(a) < n:
-            yield Bipartition.split(n, a)
+    """All bipartitions of range(n), side A always containing vertex 0.
+
+    Generated lazily, in increasing order of the A-side bit mask.
+    """
+    full = (1 << n) - 1
+    for a_mask in range(1, full, 2):
+        yield Bipartition(tuple(gf2.set_bits(a_mask)), tuple(gf2.set_bits(full ^ a_mask)))
 
 
 def stabilizer_generators(g: GraphState) -> StabilizerGroup:
@@ -193,10 +194,8 @@ def entanglement_rank(g: GraphState, part: Bipartition) -> int:
     """GF(2) rank of the adjacency block between the two sides."""
     if not part.covers(g.n):
         raise ValueError("bipartition does not cover the vertex set")
-    block = []
-    for u in part.a:
-        block.append(gf2.pack_row((g.rows[u] >> v) & 1 for v in part.b))
-    return gf2.rank_packed(block)
+    b_mask = sum(1 << v for v in part.b)
+    return gf2.rank_packed(g.rows[u] & b_mask for u in part.a)
 
 
 def augment(group: StabilizerGroup, a: int) -> StabilizerGroup:

@@ -2,13 +2,19 @@
 
 A topology is a set of labeled nodes (relays and clients) and undirected
 edges carrying an integer channel count (log2 of the edge dimension).
-The min-cut between two client sets is computed by max-flow after
-merging each set into a single terminal; a target graph state is
-single-shot distributable only if every client bipartition's min-cut is
-at least the target's entanglement rank across it, so `feasibility`
-sweeps all bipartitions and reports the first violation or the full
-table.  Feasibility here is the necessary condition; no general coding
-strategy is synthesized for the positive case.
+It is compiled once, on first use, into residual arcs in reverse pairs
+with parallel edges merged; `hops_from` and `min_cut` share them.
+`min_cut` is max-flow by BFS augmenting paths from all of one client set
+to the other.  It stops once the flow reaches the smaller of the two
+sets' channel totals, which no flow can exceed.
+
+A target graph state is single-shot distributable only if every client
+bipartition's min-cut is at least the target's entanglement rank across
+it (a necessary condition; no coding strategy is synthesized), so
+`feasibility` streams the bipartitions and reports the first violation
+or the full table.  Twin clients share a neighbour->channel map, so
+swapping two is an automorphism: a cut depends only on how many twins of
+each class sit on each side, and the sweep runs one flow per such count.
 
 `to_contraction` realizes the dual picture: every edge channel becomes a
 Bell pair with one half at each endpoint, every relay is assigned a
@@ -20,12 +26,12 @@ survive as the boundary.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .contraction import BellConvention, ContractionInstance, bell_group
-from .graphstate import Bipartition, GraphState, entanglement_rank
+from .graphstate import Bipartition, GraphState, bipartitions, entanglement_rank
 from .pauli import PauliOperator, StabilizerGroup, require_int
 
 DEFAULT_MAX_CLIENTS = 20
@@ -86,21 +92,40 @@ class NetworkTopology:
     def degree_channels(self, node: str) -> int:
         return sum(c for u, v, c in self.edges if node in (u, v))
 
+    @cached_property
+    def _arcs(self) -> tuple[dict[str, int], list[list[int]], list[int], list[int]]:
+        """Compiled ``(index, out, head, cap)``: ``out[index[id]]`` lists the
+        arcs leaving a node; arc ``k`` runs to ``head[k]`` with ``cap[k]``
+        channels (parallel edges merged) and arc ``k ^ 1`` is its reverse."""
+        index = {i: k for k, i in enumerate(self.node_ids)}
+        out: list[list[int]] = [[] for _ in index]
+        head: list[int] = []
+        cap: list[int] = []
+        arc_of: dict[frozenset[int], int] = {}
+        for u, v, c in self.edges:
+            ui, vi = index[u], index[v]
+            k = arc_of.setdefault(frozenset((ui, vi)), len(head))
+            if k == len(head):
+                head += (vi, ui)
+                cap += (0, 0)
+                out[ui].append(k)
+                out[vi].append(k ^ 1)
+            cap[k] += c
+            cap[k ^ 1] += c
+        return index, out, head, cap
+
     def hops_from(self, source: str) -> dict[str, int]:
         """Breadth-first hop count from ``source`` to every node it reaches."""
-        adj: dict[str, list[str]] = {i: [] for i in self.node_ids}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        dist = {source: 0}
-        frontier = deque([source])
-        while frontier:
-            a = frontier.popleft()
-            for b in adj[a]:
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    frontier.append(b)
-        return dist
+        index, out, head, _ = self._arcs
+        order = [index[source]]
+        hops = {order[0]: 0}
+        for u in order:  # appended to while walked: a FIFO queue
+            for k in out[u]:
+                if head[k] not in hops:
+                    hops[head[k]] = hops[u] + 1
+                    order.append(head[k])
+        ids = self.node_ids
+        return {ids[u]: h for u, h in hops.items()}
 
     def is_connected(self) -> bool:
         return not self.nodes or len(self.hops_from(self.nodes[0][0])) == len(self.nodes)
@@ -126,67 +151,46 @@ class NetworkTopology:
 def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
     """Minimum summed channel count over node cuts separating ``a`` from ``b``.
 
-    Computed as max-flow (BFS augmenting paths) after collecting each
-    side into a single terminal.
+    Computed as max-flow (BFS augmenting paths) from all of ``a`` at once
+    to any node of ``b`` on the topology's compiled arcs.
     """
     a, b = set(a), set(b)
     if not a or not b:
         raise ValueError("both client sets must be nonempty")
     if a & b:
         raise ValueError(f"client sets overlap: {sorted(a & b)}")
-    known = set(t.node_ids)
+    index, out, head, base = t._arcs
     for q in a | b:
-        if q not in known:
+        if q not in index:
             raise ValueError(f"unknown node {q!r}")
 
-    # slot 0 = merged source (a), slot 1 = merged sink (b)
-    index: dict[str, int] = {}
-    for i in t.node_ids:
-        if i not in a and i not in b:
-            index[i] = 2 + len(index)
-
-    def node_of(i: str) -> int:
-        if i in a:
-            return 0
-        if i in b:
-            return 1
-        return index[i]
-
-    size = 2 + len(index)
-    capacity = [[0] * size for _ in range(size)]
-    for u, v, c in t.edges:
-        ui, vi = node_of(u), node_of(v)
-        if ui == vi:
-            continue
-        capacity[ui][vi] += c
-        capacity[vi][ui] += c
-
+    sources = [index[q] for q in a]
+    sinks = {index[q] for q in b}
+    bound = min(sum(base[k] for i in side for k in out[i]) for side in (sources, sinks))
+    cap = base[:]
     flow = 0
-    while True:
-        parent = [-1] * size
-        parent[0] = 0
-        queue = deque([0])
-        while queue and parent[1] == -1:
-            u = queue.popleft()
-            for v in range(size):
-                if parent[v] == -1 and capacity[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[1] == -1:
-            return flow
-        bottleneck = None
-        v = 1
-        while v != 0:
-            u = parent[v]
-            bottleneck = capacity[u][v] if bottleneck is None else min(bottleneck, capacity[u][v])
-            v = u
-        v = 1
-        while v != 0:
-            u = parent[v]
-            capacity[u][v] -= bottleneck
-            capacity[v][u] += bottleneck
-            v = u
-        flow += bottleneck
+    while flow < bound:
+        via = dict.fromkeys(sources, -1)  # node -> the arc that reached it
+        queue = sources[:]
+        for u in queue:  # appended to while walked: a FIFO queue
+            if u in sinks:
+                break
+            for k in out[u]:
+                if cap[k] and head[k] not in via:
+                    via[head[k]] = k
+                    queue.append(head[k])
+        else:  # no augmenting path left
+            break
+        path = []
+        while via[u] >= 0:
+            path.append(via[u])
+            u = head[via[u] ^ 1]
+        push = min(cap[k] for k in path)
+        for k in path:
+            cap[k] -= push
+            cap[k ^ 1] += push
+        flow += push
+    return flow
 
 
 @dataclass(frozen=True)
@@ -235,48 +239,60 @@ class FeasibilityVerdict:
         return json.dumps(payload, sort_keys=True)
 
 
+def check_clients(t: NetworkTopology, clients: Sequence[str]) -> None:
+    """Raise ValueError naming the first id that is not a client or repeats."""
+    roles, seen = t.roles, set()
+    for c in clients:
+        if roles.get(c) != "client":
+            raise ValueError(f"{c!r} is not a client node")
+        if c in seen:
+            raise ValueError(f"client {c!r} is listed twice")
+        seen.add(c)
+
+
 def feasibility(
     t: NetworkTopology,
     clients: Sequence[str],
     target: GraphState,
     max_clients: int = DEFAULT_MAX_CLIENTS,
-    bipartition_list: Sequence[Bipartition] | None = None,
+    bipartition_list: Iterable[Bipartition] | None = None,
 ) -> FeasibilityVerdict:
     """Check min-cut >= entanglement rank on every client bipartition.
 
     Client ``i`` holds target vertex ``i``.  The sweep is exhaustive up
     to ``max_clients`` clients; beyond that an explicit bipartition list
-    is required.
+    is required.  Bipartitions that differ only by swapping twin clients
+    share one min-cut.
     """
     clients = list(clients)
     if len(clients) != target.n:
         raise ValueError(
             f"{len(clients)} clients vs target on {target.n} vertices"
         )
-    roles = t.roles
-    for c in clients:
-        if roles.get(c) != "client":
-            raise ValueError(f"{c!r} is not a client node")
+    check_clients(t, clients)
     if bipartition_list is None:
         if len(clients) > max_clients:
             raise ValueError(
                 f"{len(clients)} clients exceed the exhaustive sweep cap "
                 f"{max_clients}; pass an explicit bipartition list"
             )
-        from .graphstate import bipartitions as _all
-
-        bipartition_list = list(_all(len(clients)))
+        bipartition_list = bipartitions(len(clients))
+    # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin count
+    # per class, which fixes the cut: B is the rest, or entanglement_rank raises.
+    index, out, head, cap = t._arcs
+    twins: dict[frozenset, int] = {}  # neighbour->channel map -> class
+    links = (frozenset((head[k], cap[k]) for k in out[index[c]]) for c in clients)
+    weights = [(len(clients) + 1) ** twins.setdefault(m, len(twins)) for m in links]
+    cuts: dict[int, int] = {}
     table = []
     witness = None
     for part in bipartition_list:
-        mc = min_cut(t, [clients[i] for i in part.a], [clients[i] for i in part.b])
-        rank = entanglement_rank(target, part)
-        report = BipartitionReport(
-            tuple(clients[i] for i in part.a),
-            tuple(clients[i] for i in part.b),
-            mc,
-            rank,
-        )
+        a = tuple(clients[i] for i in part.a)
+        b = tuple(clients[i] for i in part.b)
+        key = sum(weights[i] for i in part.a)
+        if key not in cuts:
+            cuts[key] = min_cut(t, a, b)
+        report = BipartitionReport(a, b, cuts[key], entanglement_rank(target, part))
         table.append(report)
         if not report.ok:
             witness = report

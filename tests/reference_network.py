@@ -1,0 +1,144 @@
+"""Reference copy of the feasibility sweep in its first form.
+
+``stabnet.network.feasibility`` streams the bipartitions, runs max-flow
+on the topology's compiled arc lists, stops each flow at the channel
+bound of the smaller side and reuses one cut for every bipartition that
+only swaps twin clients.  The code below does the same test the plain
+way: every bipartition is listed up front, every cut is a fresh max-flow
+on a dense capacity matrix with each client set merged into one
+terminal, and every block of the adjacency matrix is packed one bit at
+a time.  Tests require both to render byte-identical verdicts.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
+
+from stabnet import gf2
+from stabnet.graphstate import Bipartition, GraphState
+from stabnet.network import (
+    DEFAULT_MAX_CLIENTS,
+    BipartitionReport,
+    FeasibilityVerdict,
+    NetworkTopology,
+)
+
+
+def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
+    """Max-flow (BFS augmenting paths) after collecting each side into a
+    single terminal of a dense capacity matrix."""
+    a, b = set(a), set(b)
+    if not a or not b:
+        raise ValueError("both client sets must be nonempty")
+    if a & b:
+        raise ValueError(f"client sets overlap: {sorted(a & b)}")
+    known = set(t.node_ids)
+    for q in a | b:
+        if q not in known:
+            raise ValueError(f"unknown node {q!r}")
+
+    # slot 0 = merged source (a), slot 1 = merged sink (b)
+    index: dict[str, int] = {}
+    for i in t.node_ids:
+        if i not in a and i not in b:
+            index[i] = 2 + len(index)
+
+    def node_of(i: str) -> int:
+        if i in a:
+            return 0
+        if i in b:
+            return 1
+        return index[i]
+
+    size = 2 + len(index)
+    capacity = [[0] * size for _ in range(size)]
+    for u, v, c in t.edges:
+        ui, vi = node_of(u), node_of(v)
+        if ui == vi:
+            continue
+        capacity[ui][vi] += c
+        capacity[vi][ui] += c
+
+    flow = 0
+    while True:
+        parent = [-1] * size
+        parent[0] = 0
+        queue = deque([0])
+        while queue and parent[1] == -1:
+            u = queue.popleft()
+            for v in range(size):
+                if parent[v] == -1 and capacity[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[1] == -1:
+            return flow
+        bottleneck = None
+        v = 1
+        while v != 0:
+            u = parent[v]
+            bottleneck = capacity[u][v] if bottleneck is None else min(bottleneck, capacity[u][v])
+            v = u
+        v = 1
+        while v != 0:
+            u = parent[v]
+            capacity[u][v] -= bottleneck
+            capacity[v][u] += bottleneck
+            v = u
+        flow += bottleneck
+
+
+def entanglement_rank(g: GraphState, part: Bipartition) -> int:
+    """GF(2) rank of the adjacency block, packed bit by bit."""
+    if not part.covers(g.n):
+        raise ValueError("bipartition does not cover the vertex set")
+    block = []
+    for u in part.a:
+        block.append(gf2.pack_row((g.rows[u] >> v) & 1 for v in part.b))
+    return gf2.rank_packed(block)
+
+
+def bipartitions(n: int) -> Iterator[Bipartition]:
+    """All bipartitions of range(n), side A always containing vertex 0."""
+    rest = list(range(1, n))
+    for mask in range(1 << (n - 1)):
+        a = [0] + [rest[i] for i in range(n - 1) if (mask >> i) & 1]
+        if len(a) < n:
+            yield Bipartition.split(n, a)
+
+
+def feasibility(
+    t: NetworkTopology,
+    clients: Sequence[str],
+    target: GraphState,
+    max_clients: int = DEFAULT_MAX_CLIENTS,
+    bipartition_list: Sequence[Bipartition] | None = None,
+) -> FeasibilityVerdict:
+    """One fresh min-cut and one rank per bipartition, listed up front."""
+    clients = list(clients)
+    if len(clients) != target.n:
+        raise ValueError(f"{len(clients)} clients vs target on {target.n} vertices")
+    roles = t.roles
+    for c in clients:
+        if roles.get(c) != "client":
+            raise ValueError(f"{c!r} is not a client node")
+    if bipartition_list is None:
+        if len(clients) > max_clients:
+            raise ValueError(f"{len(clients)} clients exceed the exhaustive sweep cap")
+        bipartition_list = list(bipartitions(len(clients)))
+    table = []
+    witness = None
+    for part in bipartition_list:
+        mc = min_cut(t, [clients[i] for i in part.a], [clients[i] for i in part.b])
+        rank = entanglement_rank(target, part)
+        report = BipartitionReport(
+            tuple(clients[i] for i in part.a),
+            tuple(clients[i] for i in part.b),
+            mc,
+            rank,
+        )
+        table.append(report)
+        if not report.ok:
+            witness = report
+            break
+    return FeasibilityVerdict(witness is None, witness, tuple(table))

@@ -116,6 +116,25 @@ class TestFeasibilityCommand:
         assert out == ""
         assert f"{path}: bad bipartition list: " in err
 
+    @pytest.mark.parametrize(
+        "clients, message",
+        [
+            ("c0,c0,c1,c2,c3", "--clients: client 'c0' is listed twice"),
+            ("zz,c0,c1,c2,c3", "--clients: 'zz' is not a client node"),
+        ],
+    )
+    def test_bad_clients_name_the_option(self, capsys, clients, message):
+        code, out, err = run(
+            capsys,
+            "feasibility",
+            "--topology", fixture("star_topology.json"),
+            "--target", fixture("kite_target.json"),
+            "--clients", clients,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestContractCommand:
     def test_swap_chain(self, capsys):
@@ -246,6 +265,21 @@ class TestMetricsCommand:
         code, out, _ = run(capsys, "metrics")
         assert code == 0
         assert out.strip() == "n,p,scheme,latency,memory,channels,p_success"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "3"], "--p is required with --n"),
+            (["--p", "1..6"], "--n is required with --p"),
+            (["--n", "x", "--p", "1"], "--n: bad range 'x'"),
+            (["--n", "3", "--p", "1..y"], "--p: bad range '1..y'"),
+        ],
+    )
+    def test_bad_sweep_options_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "metrics", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestNumericFields:

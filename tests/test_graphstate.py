@@ -143,6 +143,11 @@ class TestBipartition:
         with pytest.raises(ValueError):
             Bipartition((0, 1), (1, 2))
 
+    def test_rejects_repeated_vertex(self):
+        # a side is a set: a repeat would count one twin client twice
+        with pytest.raises(ValueError, match="repeat"):
+            Bipartition((0, 0), (1, 2))
+
     def test_enumeration_halves_work(self):
         parts = list(bipartitions(4))
         assert len(parts) == 7  # 2^(4-1) - 1

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,20 @@ from conftest import (
     exhaustive_min_cut,
     groups_equal,
     random_connected_topology,
+    random_graph,
     rank_spectrum,
 )
 import dense_oracle as oracle
+import reference_network as reference
+import stabnet.network
 from stabnet.contraction import Status, contract
-from stabnet.graphstate import Bipartition, GraphState, bipartitions, stabilizer_generators
+from stabnet.graphstate import (
+    Bipartition,
+    GraphState,
+    bipartitions,
+    entanglement_rank,
+    stabilizer_generators,
+)
 from stabnet.network import (
     ArityMismatchError,
     NetworkTopology,
@@ -39,6 +50,65 @@ def bottleneck_topology():
             ("d", "r2", 1),
         ),
     )
+
+
+def random_sweep_case(rng):
+    """A topology rich in the cases the compiled sweep special-cases:
+    parallel relay edges, multi-channel and doubled client links,
+    client-client edges (some joining clients that share every other
+    neighbour), twin clients, isolated clients, shuffled node order, a
+    ``clients`` subset in shuffled order and an explicit bipartition
+    list.  Returns the feasibility arguments."""
+    relays = [f"r{i}" for i in range(rng.randint(1, 4))]
+    names = [f"c{i}" for i in range(rng.randint(2, 8))]
+    edges = [(relays[rng.randrange(i)], relays[i], rng.randint(1, 3)) for i in range(1, len(relays))]
+    for _ in range(rng.randint(0, 3)):  # may repeat a pair: parallel edges
+        u, v = rng.choice(relays), rng.choice(relays)
+        if u != v:
+            edges.append((u, v, rng.randint(1, 3)))
+    homes = relays[: rng.randint(1, len(relays))]  # few homes: many twins
+    for c in names:
+        if rng.random() < 0.9:
+            edges.append((rng.choice(homes), c, rng.choice((1, 1, 2, 3))))
+        if rng.random() < 0.2:
+            edges.append((rng.choice(relays), c, 1))
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(names, 2)
+        edges.append((u, v, rng.randint(1, 2)))
+    rng.shuffle(edges)
+    nodes = [(r, "relay") for r in relays] + [(c, "client") for c in names]
+    rng.shuffle(nodes)
+    t = NetworkTopology(tuple(nodes), tuple(edges))
+    clients = list(t.clients)
+    if rng.random() < 0.3:
+        clients = rng.sample(clients, rng.randint(2, len(clients)))
+    n = len(clients)
+    target = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+    parts = None
+    if rng.random() < 0.3:
+        parts = [
+            Bipartition.split(n, rng.sample(range(n), rng.randint(1, n - 1)))
+            for _ in range(rng.randint(1, 12))
+        ]
+    return t, clients, target, parts
+
+
+def nx_min_cut(t, a, b):
+    """Max-flow from a super-source joined to ``a`` to a super-sink
+    joined to ``b``, each undirected edge one arc per direction."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(t.node_ids)
+    for u, v, c in t.edges:
+        for x, y in ((u, v), (v, u)):
+            prior = g.get_edge_data(x, y, {"capacity": 0})["capacity"]
+            g.add_edge(x, y, capacity=prior + c)
+    for q in a:
+        g.add_edge(("source",), q)  # no capacity attribute: unbounded
+    for q in b:
+        g.add_edge(q, ("sink",))
+    return nx.minimum_cut(g, ("source",), ("sink",))[0]
 
 
 class TestTopology:
@@ -129,6 +199,31 @@ class TestMinCut:
         with pytest.raises(ValueError):
             min_cut(t, ["nope"], ["c0"])
 
+    def test_against_networkx_and_dense_reference(self):
+        pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        for k in range(300):
+            if k % 2:
+                t = random_connected_topology(rng, max_nodes=12)
+            else:
+                t = random_sweep_case(rng)[0]
+            clients = list(t.clients)
+            a = set(rng.sample(clients, rng.randint(1, len(clients) - 1)))
+            b = set(rng.sample(sorted(set(clients) - a), rng.randint(1, len(clients) - len(a))))
+            cut = min_cut(t, a, b)
+            assert cut == nx_min_cut(t, a, b) == reference.min_cut(t, a, b)
+
+    def test_hops_from_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(99)
+        for _ in range(40):
+            t = random_sweep_case(rng)[0]
+            g = nx.MultiGraph()
+            g.add_nodes_from(t.node_ids)
+            g.add_edges_from((u, v) for u, v, _ in t.edges)
+            for source in t.node_ids:
+                assert t.hops_from(source) == nx.single_source_shortest_path_length(g, source)
+
 
 class TestFeasibility:
     def test_star_distributes_any_graph_state(self, rng):
@@ -173,6 +268,14 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasibility(t, ["hub", "c0", "c1"], GraphState.cycle(3))
 
+    def test_repeated_client_rejected_before_any_cut(self, monkeypatch):
+        def no_cut(t, a, b):
+            raise AssertionError("min_cut ran")
+
+        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        with pytest.raises(ValueError, match="'c1' is listed twice"):
+            feasibility(star_topology(3), ["c0", "c1", "c1"], GraphState.cycle(3))
+
     def test_sweep_cap(self):
         t = star_topology(4)
         with pytest.raises(ValueError):
@@ -194,6 +297,77 @@ class TestFeasibility:
             bipartition_list=parts,
         )
         assert verdict.feasible and len(verdict.table) == 1
+
+
+class TestMatchesReference:
+    """The streamed, twin-sharing sweep on compiled arcs renders the same
+    bytes as the first sweep: a dense-matrix max-flow per bipartition and
+    bit-by-bit packed rank blocks, over a list built up front."""
+
+    def test_bipartition_order(self):
+        for n in range(1, 11):
+            assert list(bipartitions(n)) == list(reference.bipartitions(n))
+
+    def test_rank_matches_bitwise_packing(self, rng):
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 9))
+            for part in bipartitions(g.n):
+                assert entanglement_rank(g, part) == reference.entanglement_rank(g, part)
+
+    def test_random_sweeps(self):
+        rng = random.Random(0x5EED)
+        verdicts = []
+        for _ in range(240):
+            t, clients, target, parts = random_sweep_case(rng)
+            got = feasibility(t, clients, target, bipartition_list=parts)
+            want = reference.feasibility(t, clients, target, bipartition_list=parts)
+            assert got.to_json() == want.to_json()
+            verdicts.append(got.feasible)
+        assert 20 < sum(verdicts) < 220
+
+    def test_sixteen_client_mesh(self):
+        """Two clients per relay on an 8-relay mesh whose tree edges carry
+        8 channels, so every bipartition passes and the table is whole."""
+        rng = random.Random(16)
+        relays = [f"r{i}" for i in range(8)]
+        edges = [(relays[rng.randrange(i)], relays[i], 8) for i in range(1, 8)]
+        edges += [("r0", "r7", 2), ("r2", "r5", 1), ("r2", "r5", 3)]
+        homes = relays * 2
+        rng.shuffle(homes)
+        edges += [(r, f"c{i}", 1) for i, r in enumerate(homes)]
+        nodes = [(r, "relay") for r in relays] + [(f"c{i}", "client") for i in range(16)]
+        t = NetworkTopology(tuple(nodes), tuple(edges))
+        target = random_graph(rng, 16, 0.3)
+        got = feasibility(t, t.clients, target)
+        want = reference.feasibility(t, t.clients, target)
+        assert got.to_json() == want.to_json()
+        assert got.feasible and len(got.table) == 2**15 - 1
+
+    def test_twins_share_one_cut(self, monkeypatch):
+        calls = []
+
+        def counted(t, a, b):
+            calls.append((a, b))
+            return min_cut(t, a, b)
+
+        monkeypatch.setattr(stabnet.network, "min_cut", counted)
+        verdict = feasibility(star_topology(6), [f"c{i}" for i in range(6)], GraphState.star(6))
+        assert len(verdict.table) == 31
+        assert len(calls) == 5  # one per size of side A: all leaves are twins
+
+    def test_adjacent_clients_are_not_twins(self, monkeypatch):
+        calls = []
+
+        def counted(t, a, b):
+            calls.append((a, b))
+            return min_cut(t, a, b)
+
+        t = star_topology(3)
+        t = NetworkTopology(t.nodes, t.edges + (("c1", "c2", 1),))
+        monkeypatch.setattr(stabnet.network, "min_cut", counted)
+        verdict = feasibility(t, ["c0", "c1", "c2"], GraphState.path(3))
+        assert [r.min_cut for r in verdict.table] == [1, 2, 2]
+        assert len(calls) == 3
 
 
 class TestToContraction:
