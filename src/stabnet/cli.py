@@ -120,17 +120,21 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
 
 
-def _budget(args: argparse.Namespace) -> int:
+def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
+    if args.weight_cap < 1:
+        raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
     env = os.environ.get("STABNET_DISTANCE_BUDGET")
-    if env is not None:
-        return int(env)
-    return args.budget
+    try:
+        budget = args.budget if env is None else int(env)
+    except ValueError as exc:
+        raise CliError(f"STABNET_DISTANCE_BUDGET: {exc}") from None
+    return distance(code, args.weight_cap, budget=budget)
 
 
 def cmd_code(args: argparse.Namespace) -> int:
     if args.code_command == "distance":
         code = _load_json(args.code, StabilizerCode.from_json, "code")
-        d = distance(code, args.weight_cap, budget=_budget(args))
+        d = _distance(code, args)
         payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap}
         if d is None:
             payload["distance"] = None
@@ -152,9 +156,7 @@ def cmd_code(args: argparse.Namespace) -> int:
             _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
             return EXIT_NEGATIVE
         if args.distance:
-            composed = composed.with_distance(
-                distance(composed, args.weight_cap, budget=_budget(args))
-            )
+            composed = composed.with_distance(_distance(composed, args))
         payload = json.loads(composed.to_json())
         payload["convention"] = convention.value
         _emit(_dump(payload), args.out)
@@ -181,9 +183,12 @@ def cmd_code(args: argparse.Namespace) -> int:
 def _parse_range(option: str, text: str) -> list[int]:
     lo, dots, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in text.split(",")]
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in text.split(",")]
     except ValueError:
         raise CliError(f"{option}: bad range {text!r}, expected a value like 3, a list like 2,4 or a range like 1..6") from None
+    if not values:
+        raise CliError(f"{option}: empty range {text!r}, its end is below its start")
+    return values
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:

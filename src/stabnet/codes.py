@@ -2,20 +2,22 @@
 contraction, brute-force distance, and the singleton / distributed-storage
 bounds.
 
-Distance is found by plain enumeration ordered by weight with early
+Distance is found by exhaustive search ordered by weight with early
 exit.  A candidate is a logical operator when it commutes with every
 generator but its bit pattern is not in the group (membership is decided
 on patterns, so a sign-flipped stabilizer counts as a member: it acts on
-the code space as a global phase).  Enumeration refuses to start if the
-candidate count would exceed the budget.
+the code space as a global phase).  Commuting is read off syndrome tables
+built once per code: bit j of a letter's mask says that it anticommutes
+with generator j, a candidate's syndrome is the XOR of its letters' masks,
+and only a zero syndrome gets the membership solve.  The search refuses
+to start if the candidate count up to the cap would exceed the budget.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
 from math import comb
 
 from .contraction import (
@@ -24,6 +26,7 @@ from .contraction import (
     Status,
     contract,
 )
+from .gf2 import set_bits
 from .pauli import StabilizerGroup, require_int
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
@@ -111,32 +114,65 @@ def distance(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | None:
     """Minimum weight of an undetectable logical operator, or None if it
-    exceeds ``weight_cap``."""
+    exceeds ``weight_cap``.
+
+    Each weight-w candidate is split into its first w - 1 letters, walked
+    with a running syndrome and row, and a last letter looked up by the
+    syndrome it must cancel."""
     if weight_cap < 1:
         raise ValueError("weight_cap must be >= 1")
     n = code.n
-    total = sum(comb(n, w) * 3**w for w in range(1, min(weight_cap, n) + 1))
+    cap = min(weight_cap, n)
+    total = sum(comb(n, w) * 3**w for w in range(1, cap + 1))
     if total > budget:
         raise EnumerationBudgetError(
             f"{total} candidates up to weight {weight_cap} exceed the budget {budget}"
         )
-    gens = code.group.generators
+    # syndromes of X and of Z on each qubit; Y = XZ has their XOR
+    sx, sz = [0] * n, [0] * n
+    for j, g in enumerate(code.group.generators):
+        for q in set_bits(g.z):
+            sx[q] |= 1 << j
+        for q in set_bits(g.x):
+            sz[q] |= 1 << j
+    # letters[q]: (syndrome, symplectic row) of X, Y and Z on qubit q
+    letters = [
+        ((sx[q], 1 << q), (sx[q] ^ sz[q], (1 << q) | (1 << (q + n))), (sz[q], 1 << (q + n)))
+        for q in range(n)
+    ]
+    # syndrome -> (qubit, row) of every letter with that syndrome, highest
+    # qubit first: the last letters that complete a zero-syndrome candidate
+    closing: dict[int, list[tuple[int, int]]] = {}
+    for q in reversed(range(n)):
+        for s, row in letters[q]:
+            closing.setdefault(s, []).append((q, row))
     elim = code.group.eliminator()
-    for w in range(1, min(weight_cap, n) + 1):
-        for positions in combinations(range(n), w):
-            for letters in iproduct(((1, 0), (1, 1), (0, 1)), repeat=w):  # X, Y, Z
-                x = z = 0
-                for q, (xb, zb) in zip(positions, letters):
-                    x |= xb << q
-                    z |= zb << q
-                if any(
-                    ((x & g.z).bit_count() + (z & g.x).bit_count()) % 2
-                    for g in gens
-                ):
-                    continue
-                if elim.solve(x | (z << n)) is None:
+    for w in range(1, cap + 1):
+        for syndrome, row, start in _prefixes(letters, w - 1):
+            for q, last in closing.get(syndrome, ()):
+                if q < start:
+                    break
+                if elim.solve(row ^ last) is None:
                     return w
     return None
+
+
+def _prefixes(
+    letters: Sequence[tuple[tuple[int, int], ...]], size: int
+) -> Iterator[tuple[int, int, int]]:
+    """(syndrome, row, next qubit) of every ``size``-letter operator that
+    leaves at least one qubit after its last letter.  An explicit stack,
+    so the depth is not bounded by the recursion limit."""
+    n = len(letters)
+    stack = [(0, 0, 0, size)]
+    while stack:
+        syndrome, row, start, left = stack.pop()
+        if not left:
+            yield syndrome, row, start
+            continue
+        for q in range(start, n - left):
+            for s, r in letters[q]:
+                stack.append((syndrome ^ s, row ^ r, q + 1, left - 1))
 
 
 def singleton_max_distance(n: int, k: int) -> int:

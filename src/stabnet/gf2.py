@@ -12,16 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 
-def pack_row(bits: Iterable[int]) -> int:
-    """Pack a 0/1 sequence into an integer (bit i = element i)."""
-    row = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit at index {i} is {b!r}, expected 0 or 1")
-        row |= b << i
-    return row
-
-
 def unpack_row(row: int, width: int) -> tuple[int, ...]:
     return tuple((row >> i) & 1 for i in range(width))
 

@@ -4,6 +4,7 @@ oracles, and dense-state comparison utilities."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +20,16 @@ from stabnet.contraction import (
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.network import NetworkTopology
 from stabnet.pauli import StabilizerGroup
+
+
+def pack_row(bits: Iterable[int]) -> int:
+    """Pack a 0/1 sequence into an integer (bit i = element i)."""
+    row = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError(f"bit at index {i} is {b!r}, expected 0 or 1")
+        row |= b << i
+    return row
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> GraphState:

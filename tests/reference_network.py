@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
+from conftest import pack_row
 from stabnet import gf2
 from stabnet.graphstate import Bipartition, GraphState
 from stabnet.network import (
@@ -94,7 +95,7 @@ def entanglement_rank(g: GraphState, part: Bipartition) -> int:
         raise ValueError("bipartition does not cover the vertex set")
     block = []
     for u in part.a:
-        block.append(gf2.pack_row((g.rows[u] >> v) & 1 for v in part.b))
+        block.append(pack_row((g.rows[u] >> v) & 1 for v in part.b))
     return gf2.rank_packed(block)
 
 

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     exhaustive_min_cut,
     groups_equal,
+    pack_row,
     random_connected_topology,
     random_contraction_instance,
 )
@@ -127,7 +128,7 @@ def test_criterion_2_nine_qubit_composition():
                 # member, with positive sign
                 assert all(s == "+" for s in signs)
                 assert groups_equal(comp.group, listed)
-                assert gf2.rank_packed(gf2.pack_row(r) for r in comp.group.symplectic_matrix()) == 6
+                assert gf2.rank_packed(pack_row(r) for r in comp.group.symplectic_matrix()) == 6
                 assert [list(r) for r in listed.symplectic_matrix()] == H_MATRIX
                 assert distance(comp, 4) == 3
                 assert singleton_max_distance(9, 3) == 4

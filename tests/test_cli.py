@@ -236,6 +236,33 @@ class TestCodeCommand:
         assert code == 2
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", fixture("five_qubit_code.json")],
+            ["compose", fixture("triangle_composition.json"), "--distance"],
+        ],
+    )
+    def test_bad_budget_env_names_the_variable(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("STABNET_DISTANCE_BUDGET", "abc")
+        code, out, err = run(capsys, "code", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: STABNET_DISTANCE_BUDGET: ")
+        assert "'abc'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", fixture("five_qubit_code.json")],
+            ["compose", fixture("triangle_composition.json"), "--distance"],
+        ],
+    )
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_weight_cap_below_one_names_the_option(self, capsys, argv, cap):
+        code, out, err = run(capsys, "code", *argv, "--weight-cap", cap)
+        assert (code, out) == (2, "")
+        assert err == f"error: --weight-cap: must be at least 1, got {cap}\n"
+
 
 class TestMetricsCommand:
     def test_tree_sweep(self, capsys):
@@ -273,6 +300,8 @@ class TestMetricsCommand:
             (["--p", "1..6"], "--n is required with --p"),
             (["--n", "x", "--p", "1"], "--n: bad range 'x'"),
             (["--n", "3", "--p", "1..y"], "--p: bad range '1..y'"),
+            (["--n", "5..2", "--p", "1"], "--n: empty range '5..2'"),
+            (["--n", "3", "--p", "4..1"], "--p: empty range '4..1'"),
         ],
     )
     def test_bad_sweep_options_exit_two(self, capsys, argv, message):

@@ -1,12 +1,15 @@
 import json
 import time
 from itertools import combinations, product as iproduct
+from math import comb
 
 import numpy as np
 import pytest
 
 from conftest import groups_equal
 import dense_oracle as oracle
+import reference_codes as reference
+from stabnet import codes
 from stabnet.codes import (
     CompositionError,
     EnumerationBudgetError,
@@ -33,6 +36,70 @@ NINE_QUBIT = [
 
 def triangle_code():
     return compose([five_qubit_code()] * 3, TRIANGLE_PAIRINGS, BellConvention.GRAPH_EDGE)
+
+
+def random_code(rng, n: int, k: int) -> StabilizerCode:
+    """n - k generators: Z on the first n - k qubits pushed through a random
+    circuit of H, S and CNOT gates, tracked on bit patterns only (every
+    gate is symplectic, so the rows stay independent and commuting), then
+    given random signs."""
+    xs, zs = [0] * (n - k), [1 << i for i in range(n - k)]
+    for _ in range(2 * n * n):
+        gate, a, b = rng.randrange(3), rng.randrange(n), rng.randrange(n)
+        for i in range(n - k):
+            xa, za = (xs[i] >> a) & 1, (zs[i] >> a) & 1
+            if gate == 0:  # H on a
+                xs[i] ^= (xa ^ za) << a
+                zs[i] ^= (xa ^ za) << a
+            elif gate == 1:  # S on a
+                zs[i] ^= xa << a
+            elif a != b:  # CNOT a -> b
+                xs[i] ^= xa << b
+                zs[i] ^= ((zs[i] >> b) & 1) << a
+    gens = (PauliOperator(n, x, z, rng.choice((0, 2))) for x, z in zip(xs, zs))
+    return StabilizerCode(StabilizerGroup(n, tuple(gens)))
+
+
+def conjugated(code: StabilizerCode, qubit: int, gate: str) -> StabilizerCode:
+    """Every generator conjugated by H or S on ``qubit``, signs exact:
+    H maps Y to -Y, S maps X to Y and Y to -X."""
+    gens = []
+    for g in code.group.generators:
+        xb, zb = (g.x >> qubit) & 1, (g.z >> qubit) & 1
+        x, z = g.x, g.z
+        if gate == "H":
+            x ^= (xb ^ zb) << qubit
+            z ^= (xb ^ zb) << qubit
+        else:
+            z ^= xb << qubit
+        gens.append(PauliOperator(g.n, x, z, (g.phase + 2 * (xb & zb)) % 4))
+    return StabilizerCode(StabilizerGroup(code.n, tuple(gens)))
+
+
+def permuted(code: StabilizerCode, perm: list[int]) -> StabilizerCode:
+    """Qubit q of every generator moved to ``perm[q]``."""
+    def move(bits):
+        return sum(((bits >> q) & 1) << perm[q] for q in range(code.n))
+
+    gens = (PauliOperator(g.n, move(g.x), move(g.z), g.phase) for g in code.group.generators)
+    return StabilizerCode(StabilizerGroup(code.n, tuple(gens)))
+
+
+def random_ring(rng, pool, m: int):
+    """m codes drawn from ``pool``, code j glued by one random port to a
+    random port of code j + 1; None if the contraction annihilates."""
+    members = [rng.choice(pool) for _ in range(m)]
+    offsets = [sum(c.n for c in members[:j]) for j in range(m)]
+    ports = [rng.sample(range(c.n), 2) for c in members]
+    pairings = [
+        (offsets[j] + ports[j][1], offsets[(j + 1) % m] + ports[(j + 1) % m][0])
+        for j in range(m)
+    ]
+    convention = rng.choice(list(BellConvention))
+    try:
+        return compose(members, pairings, convention), convention
+    except CompositionError:
+        return None, convention
 
 
 def correctable_single_errors(code: StabilizerCode) -> bool:
@@ -172,6 +239,23 @@ class TestDistance:
         assert all(flipped.commutes_with(g) for g in code.group.generators)
         assert distance(code, 5) == 3  # would be 4 if -g counted as logical
 
+    def test_only_logicals_on_the_last_two_qubits(self):
+        # every weight-2 logical of this [[6, 1, 2]] code sits on qubits 4
+        # and 5, so a walk that never ends a candidate there reports None
+        code = StabilizerCode(
+            StabilizerGroup.from_strings(["-IZIYII", "-ZZXYII", "-ZXIZXZ", "+YXZXYX", "-IZIYYX"])
+        )
+        assert distance(code, 2) == reference.distance(code, 2) == 2
+        assert distance(code, 1) is None
+
+    def test_walk_is_not_bounded_by_recursion_limit(self):
+        # prefixes are walked on an explicit stack: 2999 letters deep is
+        # far past the default recursion limit
+        n = 3000
+        letters = [((1, 1 << q),) * 3 for q in range(n)]
+        syndrome, row, start = next(codes._prefixes(letters, n - 1))
+        assert (syndrome, row, start) == (1, (1 << (n - 1)) - 1, n - 1)
+
     def test_every_single_qubit_error_is_detected(self):
         comp = triangle_code()
         assert correctable_single_errors(comp)
@@ -200,6 +284,113 @@ class TestDistance:
                 op = PauliOperator(9, x, z, 0)
                 if all(op.commutes_with(g) for g in comp.group.generators):
                     assert comp.group.find_pattern(op) is not None
+
+
+class TestMatchesReference:
+    """The syndrome-table search against the plain loop in
+    ``reference_codes``: same distance, same budget refusals."""
+
+    def test_random_codes(self, rng):
+        results = []
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            k = min(rng.randint(0, n), rng.randint(0, n))  # more checks, larger d
+            code = random_code(rng, n, k)
+            # caps run up to n; the largest codes stop near 10^5
+            # candidates so the plain loop stays fast
+            cap = rng.randint(1, n)
+            while sum(comb(n, w) * 3**w for w in range(1, cap + 1)) > 100_000:
+                cap -= 1
+            total = sum(comb(n, w) * 3**w for w in range(1, cap + 1))
+            d = distance(code, cap, budget=total)
+            assert d == reference.distance(code, cap, budget=total), code.group.to_strings()
+            results.append((n, k, cap, d))
+        assert any(d is None for n, k, cap, d in results if k > 0)
+        assert any(d is None for n, k, cap, d in results if k == 0)
+        assert any(k == n for n, k, cap, d in results)
+        assert any(cap == n > 6 for n, k, cap, d in results)
+        assert {d for *_, d in results} >= {None, 1, 2, 3}
+
+    def test_composed_rings(self, rng):
+        pool = [
+            five_qubit_code(),
+            StabilizerCode(StabilizerGroup.from_strings(["XXXX", "ZZZZ"])),
+            StabilizerCode(StabilizerGroup.from_strings(["ZZI", "IZZ"])),
+        ]
+        seen = set()
+        for _ in range(150):
+            m = rng.randint(3, 5)
+            ring, convention = random_ring(rng, pool if rng.random() < 0.5 else pool[:1], m)
+            if ring is None:
+                continue
+            cap = rng.randint(1, 4)
+            d = distance(ring, cap)
+            assert d == reference.distance(ring, cap), ring.group.to_strings()
+            seen.add((convention, d))
+        assert {c for c, _ in seen} == set(BellConvention)
+        assert {d for _, d in seen} >= {None, 1, 2, 3}
+
+    def test_budget_refusals(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 16)
+            code = random_code(rng, n, rng.randint(0, n))
+            cap = rng.randint(1, n + 2)
+            total = sum(comb(n, w) * 3**w for w in range(1, min(cap, n) + 1))
+            messages = []
+            for search in (distance, reference.distance):
+                with pytest.raises(EnumerationBudgetError) as err:
+                    search(code, cap, budget=total - 1)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert messages[0].startswith(f"{total} candidates up to weight {cap} ")
+
+    def test_weight_cap_below_one(self):
+        for search in (distance, reference.distance):
+            with pytest.raises(ValueError, match="weight_cap must be >= 1"):
+                search(five_qubit_code(), 0)
+
+
+class TestMetamorphic:
+    """Distance invariants beyond the reference loop's reach (n > 12)."""
+
+    def codes(self, rng):
+        pool = [five_qubit_code()]
+        while True:
+            ring, _ = random_ring(rng, pool, 5)  # [[15, 5]]
+            if ring is not None:
+                yield ring
+            n = rng.randint(13, 16)
+            yield random_code(rng, n, rng.randint(n // 2, n - 1))
+
+    def test_qubit_permutation(self, rng):
+        gen = self.codes(rng)
+        for _ in range(40):
+            code = next(gen)
+            perm = list(range(code.n))
+            rng.shuffle(perm)
+            assert distance(permuted(code, perm), 4) == distance(code, 4)
+
+    def test_local_clifford(self, rng):
+        gen = self.codes(rng)
+        found = set()
+        for _ in range(40):
+            code = next(gen)
+            d = distance(code, 4)
+            moved = code
+            for _ in range(rng.randint(1, 2 * code.n)):
+                moved = conjugated(moved, rng.randrange(code.n), rng.choice("HS"))
+            assert distance(moved, 4) == d
+            found.add(d)
+        assert {1, 3} <= found
+
+    def test_single_gates_move_letters(self):
+        # the five-qubit code's first generator XZZXI under H and S on qubit 0
+        code = five_qubit_code()
+        h = conjugated(code, 0, "H").group.generators[0]
+        s = conjugated(code, 0, "S").group.generators[0]
+        assert (h.to_string(), s.to_string()) == ("+ZZZXI", "+YZZXI")
+        y = conjugated(conjugated(code, 0, "S"), 0, "S").group.generators[0]
+        assert y.to_string() == "-XZZXI"  # S^2 = Z flips X
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 import random
 
+from conftest import pack_row
 from stabnet import gf2
 
 
@@ -17,12 +18,12 @@ def span_size(rows):
 
 def test_pack_unpack_round_trip():
     bits = (1, 0, 1, 1, 0, 0, 1)
-    assert gf2.unpack_row(gf2.pack_row(bits), len(bits)) == bits
+    assert gf2.unpack_row(pack_row(bits), len(bits)) == bits
 
 
 def test_pack_rejects_non_bits():
     try:
-        gf2.pack_row([0, 2, 1])
+        pack_row([0, 2, 1])
     except ValueError as exc:
         assert "index 1" in str(exc)
     else:

@@ -5,6 +5,7 @@ import pytest
 
 import dense_oracle as oracle
 import reference_contraction
+from conftest import pack_row
 from stabnet import gf2
 from stabnet.pauli import (
     AnticommutingGeneratorsError,
@@ -164,14 +165,14 @@ class TestCommutes:
 
 class TestGf2Rank:
     def test_frozen_check_matrix_rank(self):
-        assert gf2.rank_packed(gf2.pack_row(r) for r in H_MATRIX) == 6
+        assert gf2.rank_packed(pack_row(r) for r in H_MATRIX) == 6
 
     def test_nine_qubit_generators_give_that_matrix(self):
         group = StabilizerGroup.from_strings(NINE_QUBIT)
         assert [list(row) for row in group.symplectic_matrix()] == H_MATRIX
 
     def test_zero_rows(self):
-        assert gf2.rank_packed(gf2.pack_row(r) for r in [[0] * 4, [0] * 4]) == 0
+        assert gf2.rank_packed(pack_row(r) for r in [[0] * 4, [0] * 4]) == 0
 
     def test_random_vs_exhaustive(self, rng):
         for _ in range(50):
@@ -184,7 +185,7 @@ class TestGf2Rank:
                     if (mask >> i) & 1:
                         acc ^= packed[i]
                 seen.add(acc)
-            assert 2 ** gf2.rank_packed(gf2.pack_row(r) for r in rows) == len(seen)
+            assert 2 ** gf2.rank_packed(pack_row(r) for r in rows) == len(seen)
 
 
 class TestContains:
