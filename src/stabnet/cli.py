@@ -9,8 +9,9 @@ verdict, 1 for a negative verdict, 2 for usage or input errors and 3 for
 an internal error (a bug, never a verdict).
 
 File formats are documented in FORMATS.md at the repository root.  The
-distance enumeration budget can be overridden with the environment
-variable ``STABNET_DISTANCE_BUDGET``.
+distance enumeration budget is ``--budget`` when given, else the
+environment variable ``STABNET_DISTANCE_BUDGET``, else
+``codes.DEFAULT_ENUMERATION_BUDGET``.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     verdict = feasibility(
         topology, clients, target, max_clients=args.max_clients, bipartition_list=parts
     )
-    _emit(verdict.to_json() if args.compact else _dump(json.loads(verdict.to_json())), args.out)
+    _emit(verdict.to_json() if args.compact else _dump(verdict.as_dict()), args.out)
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
@@ -116,18 +117,21 @@ def cmd_contract(args: argparse.Namespace) -> int:
             inst.node_states, inst.pairings, BellConvention(args.convention), inst.offsets
         )
     result = contract(inst)
-    _emit(_dump(json.loads(result.to_json())), args.out)
+    _emit(_dump(result.as_dict()), args.out)
     return EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
 
 
 def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
     if args.weight_cap < 1:
         raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
-    env = os.environ.get("STABNET_DISTANCE_BUDGET")
-    try:
-        budget = args.budget if env is None else int(env)
-    except ValueError as exc:
-        raise CliError(f"STABNET_DISTANCE_BUDGET: {exc}") from None
+    # an explicit --budget wins over the environment, which wins over the default
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("STABNET_DISTANCE_BUDGET")
+        try:
+            budget = DEFAULT_ENUMERATION_BUDGET if env is None else int(env)
+        except ValueError as exc:
+            raise CliError(f"STABNET_DISTANCE_BUDGET: {exc}") from None
     return distance(code, args.weight_cap, budget=budget)
 
 
@@ -157,7 +161,7 @@ def cmd_code(args: argparse.Namespace) -> int:
             return EXIT_NEGATIVE
         if args.distance:
             composed = composed.with_distance(_distance(composed, args))
-        payload = json.loads(composed.to_json())
+        payload = composed.as_dict()
         payload["convention"] = convention.value
         _emit(_dump(payload), args.out)
         return EXIT_OK
@@ -252,10 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("code", help="stabilizer code operations")
     code_sub = p.add_subparsers(dest="code_command", required=True)
 
+    budget_help = (
+        "distance candidate budget (default: $STABNET_DISTANCE_BUDGET, "
+        f"else {DEFAULT_ENUMERATION_BUDGET})"
+    )
     pc = code_sub.add_parser("distance", help="brute-force distance")
     pc.add_argument("code", help="code JSON file")
     pc.add_argument("--weight-cap", type=int, default=5)
-    pc.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+    pc.add_argument("--budget", type=int, help=budget_help)
     pc.add_argument("--out")
 
     pc = code_sub.add_parser("compose", help="compose codes by Bell contraction")
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--convention", choices=[c.value for c in BellConvention])
     pc.add_argument("--distance", action="store_true", help="also compute the distance")
     pc.add_argument("--weight-cap", type=int, default=5)
-    pc.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
+    pc.add_argument("--budget", type=int, help=budget_help)
     pc.add_argument("--out")
 
     pc = code_sub.add_parser("bounds", help="singleton and storage bounds")

@@ -26,8 +26,7 @@ from .contraction import (
     Status,
     contract,
 )
-from .gf2 import set_bits
-from .pauli import StabilizerGroup, require_int
+from .pauli import StabilizerGroup, require_int, support_masks
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -58,11 +57,14 @@ class StabilizerCode:
     def with_distance(self, d: int | None) -> StabilizerCode:
         return StabilizerCode(self.group, d)
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         payload = {"n": self.n, "k": self.k, "generators": self.group.to_strings()}
         if self.distance is not None:
             payload["distance"] = self.distance
-        return json.dumps(payload, sort_keys=True)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> StabilizerCode:
@@ -128,13 +130,10 @@ def distance(
         raise EnumerationBudgetError(
             f"{total} candidates up to weight {weight_cap} exceed the budget {budget}"
         )
-    # syndromes of X and of Z on each qubit; Y = XZ has their XOR
-    sx, sz = [0] * n, [0] * n
-    for j, g in enumerate(code.group.generators):
-        for q in set_bits(g.z):
-            sx[q] |= 1 << j
-        for q in set_bits(g.x):
-            sz[q] |= 1 << j
+    # syndromes of X and of Z on each qubit: X anticommutes with the
+    # generators that have Z there, and Z with those that have X; Y = XZ
+    # has their XOR
+    sz, sx = support_masks(code.group.generators, n)
     # letters[q]: (syndrome, symplectic row) of X, Y and Z on qubit q
     letters = [
         ((sx[q], 1 << q), (sx[q] ^ sz[q], (1 << q) | (1 << (q + n))), (sz[q], 1 << (q + n)))

@@ -188,16 +188,16 @@ class ContractionResult:
     boundary: tuple[int, ...]
     log_norm_exponent: int
 
+    def as_dict(self) -> dict:
+        return {
+            "status": self.status.value,
+            "residual": self.residual.to_strings(),
+            "boundary": list(self.boundary),
+            "log_norm_exponent": self.log_norm_exponent,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status.value,
-                "residual": self.residual.to_strings(),
-                "boundary": list(self.boundary),
-                "log_norm_exponent": self.log_norm_exponent,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def contract(inst: ContractionInstance) -> ContractionResult:

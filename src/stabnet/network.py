@@ -228,7 +228,7 @@ class FeasibilityVerdict:
             else "min-cut below required entanglement rank"
         )
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         payload = {
             "feasible": self.feasible,
             "note": self.note,
@@ -236,7 +236,10 @@ class FeasibilityVerdict:
         }
         if self.witness is not None:
             payload["witness"] = self.witness.as_dict()
-        return json.dumps(payload, sort_keys=True)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def check_clients(t: NetworkTopology, clients: Sequence[str]) -> None:

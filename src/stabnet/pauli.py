@@ -14,6 +14,16 @@ project-wide is ``Y = i * X * Z`` (equivalently ``X * Z = -i * Y``);
 :func:`product`, which ``*`` also calls, is the one place that applies it.
 Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
 odd phases only occur in intermediate products.
+
+Commutation check
+-----------------
+:class:`StabilizerGroup` checks that its generators commute pair by pair
+when the group is small or dense.  A large sparse group (a contraction
+residual has thousands of generators of a few letters each) instead
+builds, per qubit, the mask of generators with X there and the mask with
+Z there (:func:`support_masks`); a generator's anticommutation mask is
+then one XOR per letter.  The choice compares the pair count with the
+letter count, and both paths name the same first pair (i < j).
 """
 
 from __future__ import annotations
@@ -64,8 +74,7 @@ class PauliOperator:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        if self.x < 0 or self.z < 0 or (self.x | self.z).bit_length() > self.n:
             raise ValueError("x/z bits extend beyond the qubit count")
         if not 0 <= self.phase <= 3:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
@@ -168,6 +177,57 @@ def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
     return PauliOperator(n, x, z, (c - (x & z).bit_count()) % 4)
 
 
+def support_masks(ops: Sequence[PauliOperator], n: int) -> tuple[list[int], list[int]]:
+    """Per qubit q, the mask of ``ops`` with an X part on q and the mask
+    of ``ops`` with a Z part on q (bit i stands for ``ops[i]``)."""
+    xs, zs = [0] * n, [0] * n
+    for i, op in enumerate(ops):
+        bit = 1 << i
+        for q in gf2.set_bits(op.x):
+            xs[q] |= bit
+        for q in gf2.set_bits(op.z):
+            zs[q] |= bit
+    return xs, zs
+
+
+# The pair loop costs about 170 ns a pair.  Support masks cost about 550 ns
+# per generator and per set bit of x and z, to build them and to read them
+# (CPython 3.11, 2-core x86 VM), about 4 pairs' worth.  The 4096-generator
+# GHZ residual of a (2,12) tree checks in 0.023 s with masks and 1.56 s with
+# pairs; a dense group (half its letters set) checks 3x to 6x slower with
+# masks at every size from 4 to 1024 generators.
+_PAIRS_PER_LETTER = 4
+
+
+def _check_commuting(gens: Sequence[PauliOperator], n: int) -> None:
+    """Raise on the first anticommuting pair (i < j) in pair-loop order."""
+    g = len(gens)
+    pairs = g * (g - 1) // 2
+    # a valid generator has at least one letter: when even g letters cost
+    # more than the pairs, skip counting them
+    if pairs <= 2 * _PAIRS_PER_LETTER * g or pairs <= _PAIRS_PER_LETTER * (
+        g + sum(a.x.bit_count() + a.z.bit_count() for a in gens)
+    ):
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
+                if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
+                    raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
+        return
+    xs, zs = support_masks(gens, n)
+    for i, a in enumerate(gens):
+        # bit j: a's X meets gens[j]'s Z and a's Z meets gens[j]'s X an odd
+        # number of times, i.e. a and gens[j] anticommute
+        anti = 0
+        for q in gf2.set_bits(a.x):
+            anti ^= zs[q]
+        for q in gf2.set_bits(a.z):
+            anti ^= xs[q]
+        later = anti >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            raise AnticommutingGeneratorsError(f"{a} and {gens[j]} anticommute")
+
+
 @dataclass(frozen=True)
 class StabilizerGroup:
     """An independent, mutually commuting generating set of signed Paulis.
@@ -185,10 +245,7 @@ class StabilizerGroup:
                 raise ValueError(f"generator {g} is not on {self.n} qubits")
             if g.phase not in (0, 2):
                 raise ValueError(f"generator {g} is not Hermitian with sign +-1")
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1 :]:
-                if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
-                    raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
+        _check_commuting(self.generators, self.n)
         rows = [g.symplectic_row() for g in self.generators]
         if gf2.rank_packed(rows) != len(rows):
             raise ValueError("generators are GF(2)-dependent")

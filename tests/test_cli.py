@@ -243,6 +243,34 @@ class TestCodeCommand:
             ["compose", fixture("triangle_composition.json"), "--distance"],
         ],
     )
+    @pytest.mark.parametrize("env", ["10", "abc"])
+    def test_budget_flag_wins_over_env(self, capsys, monkeypatch, argv, env):
+        # flag, then STABNET_DISTANCE_BUDGET, then the default
+        monkeypatch.setenv("STABNET_DISTANCE_BUDGET", env)
+        code, out, err = run(capsys, "code", *argv, "--budget", "1000000")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["distance"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", fixture("five_qubit_code.json")],
+            ["compose", fixture("triangle_composition.json"), "--distance"],
+        ],
+    )
+    def test_budget_flag_refuses_without_env(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("STABNET_DISTANCE_BUDGET", raising=False)
+        code, out, err = run(capsys, "code", *argv, "--budget", "10")
+        assert (code, out) == (2, "")
+        assert "exceed the budget 10" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", fixture("five_qubit_code.json")],
+            ["compose", fixture("triangle_composition.json"), "--distance"],
+        ],
+    )
     def test_bad_budget_env_names_the_variable(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("STABNET_DISTANCE_BUDGET", "abc")
         code, out, err = run(capsys, "code", *argv)

@@ -1,5 +1,6 @@
 import random
 
+import reference_contraction
 from conftest import pack_row
 from stabnet import gf2
 
@@ -94,3 +95,68 @@ def test_set_bits():
     assert list(gf2.set_bits(0)) == []
     assert list(gf2.set_bits(0b1011)) == [0, 1, 3]
     assert list(gf2.set_bits(1 << 10_000 | 4)) == [2, 10_000]
+
+
+def _lowest_first_loop(row):
+    """The plain loop that ``set_bits`` keeps for narrow or sparse rows."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def test_set_bits_matches_loop_across_the_scan_selection():
+    # widths on both sides of gf2._SCAN_MIN_WIDTH and set-bit counts on both
+    # sides of gf2._SCAN_MIN_BITS, up to 61k bits; lowest bit first on both
+    rng = random.Random(59)
+    width_cut, bits_cut = gf2._SCAN_MIN_WIDTH, gf2._SCAN_MIN_BITS
+    widths = [1, 63, width_cut - 1, width_cut, width_cut + 1, 4096, 61_000]
+    counts = [1, 2, bits_cut - 1, bits_cut, bits_cut + 1, 200]
+    for width in widths:
+        for count in counts:
+            if count > width:
+                continue
+            for _ in range(3):
+                top = 1 << (width - 1)
+                row = top | sum(1 << b for b in rng.sample(range(width - 1), count - 1))
+                assert list(gf2.set_bits(row)) == _lowest_first_loop(row)
+    for width in (width_cut + 7, 61_000):
+        dense = rng.getrandbits(width) | 1 << (width - 1) | 1
+        assert list(gf2.set_bits(dense)) == _lowest_first_loop(dense)
+
+
+def _xor(rows):
+    acc = 0
+    for row in rows:
+        acc ^= row
+    return acc
+
+
+def _dependent_rows(rng, width, independent, dependent):
+    """Random rows of ``width`` bits, some XORs of earlier ones, shuffled."""
+    rows = [rng.getrandbits(width) for _ in range(independent)]
+    for _ in range(dependent):
+        rows.append(_xor(row for row in rows if rng.random() < 0.4))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_left_kernel_ignores_column_order():
+    # the relations depend only on the row order, so any column
+    # permutation (and so any pivot rule) gives the same kernel basis
+    rng = random.Random(61)
+    for _ in range(120):
+        width = rng.choice([3, 8, 20, 64, 130])
+        rows = _dependent_rows(
+            rng, width, rng.randint(1, min(width, 12)), rng.randint(0, 10)
+        )
+        expected = reference_contraction.left_kernel(rows)
+        assert gf2.left_kernel(rows) == expected
+        for _ in range(3):
+            perm = list(range(width))
+            rng.shuffle(perm)
+            permuted = [_xor(1 << perm[c] for c in gf2.set_bits(row)) for row in rows]
+            assert gf2.left_kernel(permuted) == expected
+            assert gf2.rank_packed(permuted) == len(rows) - len(expected)

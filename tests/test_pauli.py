@@ -1,12 +1,15 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 import dense_oracle as oracle
 import reference_contraction
-from conftest import pack_row
-from stabnet import gf2
+from conftest import pack_row, random_graph
+from stabnet import gf2, pauli
+from stabnet.graphstate import stabilizer_generators
+from stabnet.network import repetition_state
 from stabnet.pauli import (
     AnticommutingGeneratorsError,
     MinusIdentityError,
@@ -321,3 +324,150 @@ class TestStabilizerGroup:
         e = p.embed(5, 2)
         assert e.to_string() == "-IIXZI"
         assert e.restricted_to([2, 3]) == p
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize("n", [1, 5, 64, 1000])
+    def test_bit_at_index_n_rejected(self, n):
+        PauliOperator(n, 1 << (n - 1), 1 << (n - 1))
+        for x, z in ((1 << n, 0), (0, 1 << n), (1 << (n + 70), 1)):
+            with pytest.raises(ValueError, match="beyond the qubit count"):
+                PauliOperator(n, x, z)
+
+    @pytest.mark.parametrize("x, z", [(-1, 0), (0, -1), (-4, 2), (1, -(1 << 80))])
+    def test_negative_bits_rejected(self, x, z):
+        with pytest.raises(ValueError, match="beyond the qubit count"):
+            PauliOperator(8, x, z)
+
+
+def _permute_qubits(op, perm):
+    def spread(bits):
+        return sum(1 << perm[q] for q in gf2.set_bits(bits))
+
+    return PauliOperator(op.n, spread(op.x), spread(op.z), op.phase)
+
+
+def _permute_strings(text, perm):
+    """Relabel every signed Pauli string in ``text`` by ``perm``."""
+
+    def relabel(match):
+        op = _permute_qubits(parse_pauli(match.group(0)), perm)
+        return op.to_string()
+
+    return re.sub(r"[+-][IXYZ]+", relabel, text)
+
+
+class TestReduceGeneratorsColumnOrder:
+    # kept rows and sign witnesses depend only on the input order, so a
+    # qubit relabelling (a column permutation of the symplectic rows, and so
+    # any pivot rule) relabels the output and changes nothing else
+    def test_same_kept_rows_and_witnesses(self, rng):
+        for _ in range(60):
+            n = rng.randint(2, 14)
+            base = stabilizer_generators(random_graph(rng, n)).generators
+            ops = list(base)
+            for _ in range(rng.randint(0, 2 * n)):
+                ops.append(product([g for g in base if rng.random() < 0.3], n))
+            rng.shuffle(ops)
+            kept = reference_contraction.reduce_generators(ops)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            permuted = [_permute_qubits(op, perm) for op in ops]
+            expected = [_permute_qubits(op, perm).to_string() for op in kept]
+            assert reduce_generators(ops).to_strings() == [op.to_string() for op in kept]
+            assert reduce_generators(permuted).to_strings() == expected
+            # flip one dependent row: the same row, with the same witness, is named
+            dependent = [i for i, op in enumerate(ops) if op not in kept]
+            if not dependent:
+                continue
+            i = rng.choice(dependent)
+            flipped = ops[:i] + [ops[i].negated()] + ops[i + 1 :]
+            with pytest.raises(MinusIdentityError) as plain:
+                reduce_generators(flipped)
+            with pytest.raises(MinusIdentityError) as relabelled:
+                reduce_generators([_permute_qubits(op, perm) for op in flipped])
+            assert str(relabelled.value) == _permute_strings(str(plain.value), perm)
+
+
+def _letter_group(rng, n, g, bits):
+    """``g`` random Paulis on ``n`` qubits with ``bits`` set x and z bits in
+    all (a Y letter has two), at least one each; most pairs that share a
+    qubit anticommute."""
+    xs = [0] * g
+    zs = [0] * g
+    for i in range(g):
+        if rng.random() < 0.5:
+            xs[i] = 1 << rng.randrange(n)
+        else:
+            zs[i] = 1 << rng.randrange(n)
+    for _ in range(bits - g):
+        i = rng.randrange(g)
+        while (xs[i] & zs[i]).bit_count() == n:
+            i = rng.randrange(g)
+        while True:
+            bit = 1 << rng.randrange(n)
+            if rng.random() < 0.5 and not xs[i] & bit:
+                xs[i] |= bit
+                break
+            if not zs[i] & bit:
+                zs[i] |= bit
+                break
+    return [PauliOperator(n, x, z, rng.choice((0, 2))) for x, z in zip(xs, zs)]
+
+
+class TestCommutationCheckSelection:
+    @staticmethod
+    def _mask_calls(monkeypatch):
+        calls = []
+        original = pauli.support_masks
+
+        def counting(ops, n):
+            calls.append(len(ops))
+            return original(ops, n)
+
+        monkeypatch.setattr(pauli, "support_masks", counting)
+        return calls
+
+    @pytest.mark.parametrize("g", [18, 40, 200])
+    @pytest.mark.parametrize("side", ["masks", "pairs"])
+    def test_same_first_pair_as_all_pairs_loop(self, monkeypatch, rng, g, side):
+        # set bits just below the cut read support masks, just above it pairs
+        pairs = g * (g - 1) // 2
+        cut = -(-pairs // pauli._PAIRS_PER_LETTER) - g  # fewest bits that pick pairs
+        bits = cut - 1 if side == "masks" else cut
+        calls = self._mask_calls(monkeypatch)
+        widest = -(-bits // (2 * g))  # qubits of the widest generator, at least
+        for _ in range(15):
+            n = rng.choice([widest + 1, 2 * widest, widest + 5])
+            ops = _letter_group(rng, n, g, bits)
+            with pytest.raises(AnticommutingGeneratorsError) as reference:
+                reference_contraction.reduce_generators(ops)
+            with pytest.raises(AnticommutingGeneratorsError) as checked:
+                StabilizerGroup(n, tuple(ops))
+            assert str(checked.value) == str(reference.value)
+        if side == "masks":
+            assert calls and set(calls) == {g}
+        else:
+            assert not calls
+
+    def test_anticommutation_before_signs_on_masks(self, monkeypatch):
+        # +X..X and Z0Zj on 40 qubits, a sign-flipped product of them, then
+        # Z0, which anticommutes with X..X: the commutation error comes first
+        n = 40
+        ghz = list(repetition_state(n).generators)
+        ops = ghz + [product(ghz[:3], n).negated(), parse_pauli("Z" + "I" * (n - 1))]
+        calls = self._mask_calls(monkeypatch)
+        with pytest.raises(AnticommutingGeneratorsError, match=r"\+X{40} and \+ZI{39}"):
+            reduce_generators(ops)
+        assert calls == [n + 1]  # the 40 kept rows and Z0
+        with pytest.raises(MinusIdentityError):
+            reduce_generators(ops[:-1])
+
+    def test_large_commuting_groups_pass_on_both_sides(self, monkeypatch, rng):
+        sparse = repetition_state(300).generators
+        dense = stabilizer_generators(random_graph(rng, 60, 0.5)).generators
+        calls = self._mask_calls(monkeypatch)
+        assert len(StabilizerGroup(300, sparse)) == 300
+        assert calls == [300]
+        assert len(StabilizerGroup(60, dense)) == 60
+        assert calls == [300]
