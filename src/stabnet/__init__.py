@@ -25,7 +25,6 @@ from .contraction import (
 from .graphstate import (
     Bipartition,
     GraphState,
-    augment,
     bipartitions,
     entanglement_rank,
     stabilizer_generators,

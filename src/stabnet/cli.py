@@ -93,6 +93,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         check_clients(topology, clients)
     except ValueError as exc:
         raise CliError(f"--clients: {exc}") from exc
+    if len(clients) != target.n:  # client i holds target vertex i
+        source = "--clients names" if args.clients else f"--clients is not given and {args.topology} has"
+        raise CliError(f"{args.target}: n is {target.n}, but {source} {len(clients)} clients")
     parts = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
@@ -103,9 +106,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
                 raise ValueError("the list is empty, so nothing would be checked")
         except (TypeError, ValueError) as exc:
             raise CliError(f"{args.bipartitions}: bad bipartition list: {exc}") from exc
-    verdict = feasibility(
-        topology, clients, target, max_clients=args.max_clients, bipartition_list=parts
-    )
+    verdict = feasibility(topology, clients, target, bipartition_list=parts)
     _emit(verdict.to_json() if args.compact else _dump(verdict.as_dict()), args.out)
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
@@ -203,15 +204,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     def p_success(channels: int) -> str:
         return "" if noise is None else f"{success_probability(noise, channels):.12g}"
 
+    tree_options = [opt for opt, value in (("--n", args.n), ("--p", args.p)) if value is not None]
     if args.topology is not None:
+        if tree_options:
+            raise CliError(f"{' and '.join(tree_options)} cannot be combined with --topology")
         topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
         for scheme in (Scheme.LQC, Scheme.EPR):
             channels = channel_count(topology, scheme, center=args.center)
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
-    elif (args.n is None) != (args.p is None):
-        missing, given = ("--p", "--n") if args.p is None else ("--n", "--p")
-        raise CliError(f"{missing} is required with {given}")
-    elif args.n is not None:
+    elif args.center is not None:
+        raise CliError("--center needs --topology")
+    elif not tree_options:
+        raise CliError("nothing to sweep: give --n and --p, or --topology")
+    elif len(tree_options) == 1:
+        missing = "--p" if args.p is None else "--n"
+        raise CliError(f"{missing} is required with {tree_options[0]}")
+    else:
         for n in _parse_range("--n", args.n):
             for p in _parse_range("--p", args.p):
                 spec = RegularTreeSpec(n, p)
@@ -237,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True, help="topology JSON file")
     p.add_argument("--target", required=True, help="target graph JSON file")
     p.add_argument("--clients", help="comma-separated client ids (default: all clients in node order)")
-    p.add_argument("--max-clients", type=int, default=DEFAULT_MAX_CLIENTS)
     p.add_argument(
         "--bipartitions",
-        help="JSON file with explicit A-side index lists; required when the "
-        "client count exceeds the exhaustive sweep cap",
+        help="JSON file with explicit A-side index lists; required above "
+        f"{DEFAULT_MAX_CLIENTS} clients, where the exhaustive sweep stops",
     )
     p.add_argument("--compact", action="store_true", help="single-line JSON output")
     p.add_argument("--out", help="write output to this path instead of stdout")

@@ -3,7 +3,9 @@
 A row is a Python integer whose bit ``i`` is column ``i``.  Arbitrary
 precision ints give word-packed storage and word-wise XOR row operations
 for free, which is what keeps distance searches and bipartition sweeps
-cheap.
+cheap.  The module offers what the package runs: ``Eliminator`` (its
+``solve`` is every membership test), ``rank_packed`` for cut ranks and
+independence checks, ``left_kernel`` for contraction, and ``set_bits``.
 
 Elimination pivots on the highest set bit of a row.  Which rows are
 independent, and the relation that expresses each dependent row in the
@@ -20,11 +22,7 @@ rows with many set bits scan their binary string once (O(width) in all).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-
-
-def unpack_row(row: int, width: int) -> tuple[int, ...]:
-    return tuple((row >> i) & 1 for i in range(width))
+from collections.abc import Iterable, Iterator
 
 
 # The string scan pays for converting the row, so it is slower on rows
@@ -121,11 +119,3 @@ def left_kernel(rows: Iterable[int]) -> list[int]:
         if relation is not None:
             kernel.append(relation)
     return kernel
-
-
-def solve_combination(rows: Sequence[int], target: int) -> int | None:
-    """Mask over ``rows`` whose XOR equals ``target``, or None."""
-    elim = Eliminator()
-    for row in rows:
-        elim.add(row)
-    return elim.solve(target)

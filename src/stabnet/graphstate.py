@@ -1,13 +1,13 @@
-"""Graphs, graph-state stabilizer generators, entanglement ranks, and
-the basis-copy augmentation used to model controlled isometries.
+"""Graphs, graph-state stabilizer generators and entanglement ranks.
 
 A graph state is kept purely as a symmetric adjacency bit-matrix (one
 packed integer per vertex row); the stabilizer generators K_a = X_a
-Z_{N(a)} and the dense vector are derived on demand.  Entanglement rank
-across a bipartition {A, B} is the GF(2) rank of the off-diagonal
-adjacency block rows(A) x cols(B), which for graph states equals the
-log2 rank of the reduced density operator (the dense oracle cross-checks
-this).
+Z_{N(a)} are derived on demand.  Entanglement rank across a bipartition
+{A, B} is the GF(2) rank of the off-diagonal adjacency block rows(A) x
+cols(B), which for graph states equals the log2 rank of the reduced
+density operator (the tests cross-check it against a dense state vector
+and against the rank of a general stabilizer group).  It is the one
+entanglement rank in the package: the feasibility sweep's cut rank.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ class GraphState:
                 raise ValueError(f"row {a} extends beyond {self.n} vertices")
             if (row >> a) & 1:
                 raise ValueError(f"self-loop at vertex {a}")
-            for b in range(self.n):
-                if ((row >> b) & 1) != ((self.rows[b] >> a) & 1):
+            # every edge a -> b needs b -> a; a missing b -> a shows up
+            # from row b's side, so walking each row's edges checks both
+            for b in gf2.set_bits(row):
+                if not (self.rows[b] >> a) & 1:
                     raise ValueError("adjacency is not symmetric")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels must match the vertex count")
@@ -58,14 +60,6 @@ class GraphState:
         return cls(n, tuple(rows), tuple(labels) if labels is not None else None)
 
     @classmethod
-    def empty(cls, n: int) -> GraphState:
-        return cls.from_edges(n, [])
-
-    @classmethod
-    def complete(cls, n: int) -> GraphState:
-        return cls.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-    @classmethod
     def path(cls, n: int) -> GraphState:
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -77,9 +71,6 @@ class GraphState:
     def star(cls, n: int) -> GraphState:
         """Center at vertex 0; the GHZ-class target in graph form."""
         return cls.from_edges(n, [(0, i) for i in range(1, n)])
-
-    def neighbors(self, a: int) -> tuple[int, ...]:
-        return tuple(b for b in range(self.n) if (self.rows[a] >> b) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [
@@ -98,11 +89,8 @@ class GraphState:
         while frontier:
             a = frontier.pop()
             fresh = self.rows[a] & ~seen
-            while fresh:
-                low = fresh & -fresh
-                seen |= low
-                frontier.append(low.bit_length() - 1)
-                fresh ^= low
+            seen |= fresh
+            frontier.extend(gf2.set_bits(fresh))
         return seen == (1 << self.n) - 1
 
     # -- serialization ----------------------------------------------------
@@ -167,9 +155,6 @@ class Bipartition:
         a = set(a_side)
         return cls(tuple(a), tuple(q for q in range(n) if q not in a))
 
-    def swapped(self) -> Bipartition:
-        return Bipartition(self.b, self.a)
-
     def covers(self, n: int) -> bool:
         return set(self.a) | set(self.b) == set(range(n))
 
@@ -196,21 +181,3 @@ def entanglement_rank(g: GraphState, part: Bipartition) -> int:
         raise ValueError("bipartition does not cover the vertex set")
     b_mask = sum(1 << v for v in part.b)
     return gf2.rank_packed(g.rows[u] & b_mask for u in part.a)
-
-
-def augment(group: StabilizerGroup, a: int) -> StabilizerGroup:
-    """Basis-copy qubit ``a`` onto a fresh qubit appended at index n.
-
-    Stabilizer-level effect of copying in the computational basis: every
-    generator with X support on ``a`` gains X on the copy, and Z_a Z_copy
-    joins the group.
-    """
-    if not 0 <= a < group.n:
-        raise ValueError(f"vertex {a} out of range")
-    n = group.n + 1
-    gens = []
-    for g in group.generators:
-        x = g.x | (((g.x >> a) & 1) << group.n)
-        gens.append(PauliOperator(n, x, g.z, g.phase))
-    gens.append(PauliOperator(n, 0, (1 << a) | (1 << group.n), 0))
-    return StabilizerGroup(n, tuple(gens))

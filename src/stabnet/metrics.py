@@ -21,12 +21,6 @@ class Scheme(Enum):
     LQC = "LQC"
     EPR = "EPR"
 
-    @classmethod
-    def coerce(cls, value: Scheme | str) -> Scheme:
-        if isinstance(value, cls):
-            return value
-        return cls(value.upper())
-
 
 @dataclass(frozen=True)
 class RegularTreeSpec:
@@ -89,13 +83,13 @@ class NoiseSpec:
 
 def latency(spec: RegularTreeSpec, scheme: Scheme | str) -> int:
     """Distribution rounds: p for local coding, n**p for EPR swapping."""
-    scheme = Scheme.coerce(scheme)
+    scheme = Scheme(scheme)
     return spec.p if scheme is Scheme.LQC else spec.n**spec.p
 
 
 def memory_qubits(spec: RegularTreeSpec, scheme: Scheme | str) -> int:
     """Peak memory qubits per node: n + 1 for local coding, n**p for EPR."""
-    scheme = Scheme.coerce(scheme)
+    scheme = Scheme(scheme)
     return spec.n + 1 if scheme is Scheme.LQC else spec.n**spec.p
 
 
@@ -118,7 +112,7 @@ def channel_count(
     channel per edge crossed; the center defaults to the relay
     minimizing the total client hop count (ties broken by node order).
     """
-    scheme = Scheme.coerce(scheme)
+    scheme = Scheme(scheme)
     if isinstance(t, RegularTreeSpec):
         if scheme is Scheme.LQC:
             return t.edge_count()

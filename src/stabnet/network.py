@@ -89,9 +89,6 @@ class NetworkTopology:
     def relays(self) -> tuple[str, ...]:
         return tuple(i for i, r in self.nodes if r == "relay")
 
-    def degree_channels(self, node: str) -> int:
-        return sum(c for u, v, c in self.edges if node in (u, v))
-
     @cached_property
     def _arcs(self) -> tuple[dict[str, int], list[list[int]], list[int], list[int]]:
         """Compiled ``(index, out, head, cap)``: ``out[index[id]]`` lists the
@@ -257,15 +254,15 @@ def feasibility(
     t: NetworkTopology,
     clients: Sequence[str],
     target: GraphState,
-    max_clients: int = DEFAULT_MAX_CLIENTS,
     bipartition_list: Iterable[Bipartition] | None = None,
 ) -> FeasibilityVerdict:
     """Check min-cut >= entanglement rank on every client bipartition.
 
     Client ``i`` holds target vertex ``i``.  The sweep is exhaustive up
-    to ``max_clients`` clients; beyond that an explicit bipartition list
-    is required.  Bipartitions that differ only by swapping twin clients
-    share one min-cut.
+    to ``DEFAULT_MAX_CLIENTS`` clients (k clients give 2**(k-1) - 1
+    rows); beyond that an explicit bipartition list is required.
+    Bipartitions that differ only by swapping twin clients share one
+    min-cut.
     """
     clients = list(clients)
     if len(clients) != target.n:
@@ -274,10 +271,10 @@ def feasibility(
         )
     check_clients(t, clients)
     if bipartition_list is None:
-        if len(clients) > max_clients:
+        if len(clients) > DEFAULT_MAX_CLIENTS:
             raise ValueError(
                 f"{len(clients)} clients exceed the exhaustive sweep cap "
-                f"{max_clients}; pass an explicit bipartition list"
+                f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
             )
         bipartition_list = bipartitions(len(clients))
     # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin count

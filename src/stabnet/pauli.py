@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import gf2
 
-_LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_LETTERS = {("0", "0"): "I", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -79,23 +79,12 @@ class PauliOperator:
         if not 0 <= self.phase <= 3:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
 
-    @property
-    def x_bits(self) -> tuple[int, ...]:
-        return gf2.unpack_row(self.x, self.n)
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return gf2.unpack_row(self.z, self.n)
-
     def is_identity_pattern(self) -> bool:
         return self.x == 0 and self.z == 0
 
     def weight(self) -> int:
         """Number of qubits with a non-identity letter."""
         return (self.x | self.z).bit_count()
-
-    def letter(self, qubit: int) -> str:
-        return _LETTERS[(self.x >> qubit) & 1, (self.z >> qubit) & 1]
 
     def commutes_with(self, other: PauliOperator) -> bool:
         if self.n != other.n:
@@ -115,21 +104,16 @@ class PauliOperator:
             raise ValueError(f"offset {offset} does not fit {self.n} qubits in {n_total}")
         return PauliOperator(n_total, self.x << offset, self.z << offset, self.phase)
 
-    def restricted_to(self, qubits: Sequence[int]) -> PauliOperator:
-        """Keep only ``qubits`` (in the given order); the phase is carried over."""
-        x = z = 0
-        for k, q in enumerate(qubits):
-            x |= ((self.x >> q) & 1) << k
-            z |= ((self.z >> q) & 1) << k
-        return PauliOperator(len(qubits), x, z, self.phase)
-
     def symplectic_row(self) -> int:
         """Packed [x|z] row: columns 0..n-1 are x bits, n..2n-1 are z bits."""
         return self.x | (self.z << self.n)
 
     def to_string(self) -> str:
-        letters = "".join(self.letter(q) for q in range(self.n))
-        return _PHASE_PREFIX[self.phase] + letters
+        # bit n pads each binary string to n digits; reversed and without
+        # its "0b1" head, character q is qubit q
+        xs = bin(self.x | 1 << self.n)[:2:-1]
+        zs = bin(self.z | 1 << self.n)[:2:-1]
+        return _PHASE_PREFIX[self.phase] + "".join(map(_LETTERS.__getitem__, zip(xs, zs)))
 
     def __str__(self) -> str:
         return self.to_string()
@@ -156,10 +140,6 @@ def parse_pauli(text: str, n: int | None = None) -> PauliOperator:
     if n is not None and count != n:
         raise PauliParseError(f"expected {n} letters, found {count}", len(text) - 1)
     return PauliOperator(count, x, z, phase)
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(n, 0, 0, 0)
 
 
 def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
@@ -268,68 +248,12 @@ class StabilizerGroup:
     def symplectic_rows(self) -> list[int]:
         return [g.symplectic_row() for g in self.generators]
 
-    def symplectic_matrix(self) -> list[tuple[int, ...]]:
-        """Rows of the [X|Z] check matrix as 0/1 tuples of width 2n."""
-        return [gf2.unpack_row(row, 2 * self.n) for row in self.symplectic_rows()]
-
     def eliminator(self) -> gf2.Eliminator:
         """Elimination state over the generators' symplectic rows."""
         elim = gf2.Eliminator()
         for row in self.symplectic_rows():
             elim.add(row)
         return elim
-
-    def decompose(self, p: PauliOperator) -> tuple[int, ...] | None:
-        """Generator indices whose product equals ``p`` exactly (sign included)."""
-        member = self._solve_pattern(p)
-        if member is None:
-            return None
-        mask, candidate = member
-        if candidate.phase != p.phase:
-            return None
-        return tuple(i for i in range(len(self.generators)) if (mask >> i) & 1)
-
-    def find_pattern(self, p: PauliOperator) -> PauliOperator | None:
-        """The group member with the same x/z pattern as ``p``, if any."""
-        member = self._solve_pattern(p)
-        return None if member is None else member[1]
-
-    def _solve_pattern(self, p: PauliOperator) -> tuple[int, PauliOperator] | None:
-        if p.n != self.n:
-            raise ValueError(f"qubit counts differ: {p.n} vs {self.n}")
-        mask = self.eliminator().solve(p.symplectic_row())
-        if mask is None:
-            return None
-        chosen = (g for i, g in enumerate(self.generators) if (mask >> i) & 1)
-        return mask, product(chosen, self.n)
-
-    def elements(self) -> Iterable[PauliOperator]:
-        """All 2**len(generators) group elements (small groups only)."""
-        if len(self.generators) > 16:
-            raise ValueError("group too large to enumerate")
-        for mask in range(1 << len(self.generators)):
-            chosen = (g for i, g in enumerate(self.generators) if (mask >> i) & 1)
-            yield product(chosen, self.n)
-
-    def entanglement_rank(self, subset: Sequence[int]) -> int:
-        """log2 rank of the reduced density operator on ``subset``.
-
-        Defined for full-rank groups (pure states): |A| minus the number
-        of independent group elements supported entirely inside A.
-        """
-        inside = set(subset)
-        if not inside <= set(range(self.n)):
-            raise ValueError("subset out of range")
-        outside_x = outside_z = 0
-        for q in range(self.n):
-            if q not in inside:
-                outside_x |= 1 << q
-                outside_z |= 1 << q
-        restricted = [
-            (g.x & outside_x) | ((g.z & outside_z) << self.n) for g in self.generators
-        ]
-        supported_inside = len(gf2.left_kernel(restricted))
-        return len(inside) - supported_inside
 
 
 def reduce_generators(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
+from stabnet import gf2
 from stabnet.contraction import (
     BellConvention,
     ContractionInstance,
@@ -19,7 +20,7 @@ from stabnet.contraction import (
 )
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.network import NetworkTopology
-from stabnet.pauli import StabilizerGroup
+from stabnet.pauli import PauliOperator, StabilizerGroup, product
 
 
 def pack_row(bits: Iterable[int]) -> int:
@@ -128,12 +129,22 @@ def random_connected_topology(
     return NetworkTopology(tuple(nodes), tuple(edges))
 
 
+def member(group: StabilizerGroup, p: PauliOperator) -> PauliOperator | None:
+    """The element of ``group`` with the x/z pattern of ``p``, carrying its
+    own sign (which may differ from ``p``'s); None if no element has it."""
+    mask = group.eliminator().solve(p.symplectic_row())
+    if mask is None:
+        return None
+    return product((group.generators[i] for i in gf2.set_bits(mask)), group.n)
+
+
 def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
-    """Same group: equal rank and every generator of each inside the other."""
+    """Same group: equal rank and every generator of each inside the other,
+    sign included."""
     if a.n != b.n or len(a) != len(b):
         return False
-    return all(b.decompose(g) is not None for g in a.generators) and all(
-        a.decompose(g) is not None for g in b.generators
+    return all(member(b, g) == g for g in a.generators) and all(
+        member(a, g) == g for g in b.generators
     )
 
 
@@ -143,7 +154,7 @@ def rank_spectrum(group: StabilizerGroup) -> dict[tuple[int, ...], int]:
     for size in range(1, group.n):
         for subset in combinations(range(group.n), size):
             if 0 in subset:
-                spectrum[subset] = group.entanglement_rank(subset)
+                spectrum[subset] = oracle.group_entanglement_rank(group, subset)
     return spectrum
 
 

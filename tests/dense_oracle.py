@@ -1,5 +1,7 @@
-"""Reference implementations for the tests: a dense state-vector oracle
-and a second, element-wise contraction path.
+"""Reference implementations for the tests: a dense state-vector oracle,
+a second, element-wise contraction path, and the group-level helpers
+that the checks compare against (element enumeration, the entanglement
+rank of a general stabilizer state, basis-copy augmentation).
 
 Everything in the package that manipulates stabilizer groups is checked
 against these brute-force routines on small systems.  Nothing here is
@@ -15,14 +17,16 @@ one-off larger checks.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from reference_contraction import restricted_to
+from stabnet import gf2
 from stabnet.contraction import BellConvention, bell_group
 from stabnet.graphstate import GraphState
-from stabnet.pauli import PauliOperator, StabilizerGroup
+from stabnet.pauli import PauliOperator, StabilizerGroup, product
 
 DEFAULT_CAP = 12
 
@@ -96,8 +100,8 @@ def kron(states: Sequence[DenseState], cap: int = DEFAULT_CAP) -> DenseState:
 def pauli_matrix(p: PauliOperator, cap: int = DEFAULT_CAP) -> np.ndarray:
     _check_cap(p.n, cap)
     m = np.eye(1, dtype=complex)
-    for q in range(p.n):
-        m = np.kron(m, _SINGLE[p.letter(q)])
+    for letter in p.to_string().lstrip("+-i"):  # the sign prefix is +, +i, - or -i
+        m = np.kron(m, _SINGLE[letter])
     return (1j**p.phase) * m
 
 
@@ -300,7 +304,7 @@ def contract_single_element(
     None as soon as one pair mismatches.
     """
     convention = BellConvention(convention)
-    elements = {(e.x, e.z): e for e in bell_group(convention).elements()}
+    elements = {(e.x, e.z): e for e in group_elements(bell_group(convention))}
     n = s.n
     acc = s
     paired: list[int] = []
@@ -319,7 +323,7 @@ def contract_single_element(
         raise AssertionError("surviving element has a non-Hermitian phase")
     if not boundary:
         return acc
-    return acc.restricted_to(boundary)
+    return restricted_to(acc, boundary)
 
 
 def _embed_pair(op2: PauliOperator, i: int, j: int, n: int) -> PauliOperator:
@@ -327,3 +331,44 @@ def _embed_pair(op2: PauliOperator, i: int, j: int, n: int) -> PauliOperator:
     x = (((op2.x >> 0) & 1) << i) | (((op2.x >> 1) & 1) << j)
     z = (((op2.z >> 0) & 1) << i) | (((op2.z >> 1) & 1) << j)
     return PauliOperator(n, x, z, op2.phase)
+
+
+def group_elements(group: StabilizerGroup) -> Iterator[PauliOperator]:
+    """All 2**len(generators) group elements with their signs (small groups only)."""
+    if len(group.generators) > 16:
+        raise ValueError("group too large to enumerate")
+    for mask in range(1 << len(group.generators)):
+        yield product((group.generators[i] for i in gf2.set_bits(mask)), group.n)
+
+
+def group_entanglement_rank(group: StabilizerGroup, subset: Sequence[int]) -> int:
+    """log2 rank of the reduced density operator of a full-rank group on ``subset``.
+
+    |A| minus the number of independent group elements supported entirely
+    inside A: those are the kernel relations of the generators restricted
+    to the complement of A.
+    """
+    inside = set(subset)
+    if not inside <= set(range(group.n)):
+        raise ValueError("subset out of range")
+    outside = sum(1 << q for q in range(group.n) if q not in inside)
+    restricted = [(g.x & outside) | ((g.z & outside) << group.n) for g in group.generators]
+    return len(inside) - len(gf2.left_kernel(restricted))
+
+
+def augment(group: StabilizerGroup, a: int) -> StabilizerGroup:
+    """Basis-copy qubit ``a`` onto a fresh qubit appended at index n.
+
+    Stabilizer-level effect of copying in the computational basis: every
+    generator with X support on ``a`` gains X on the copy, and Z_a Z_copy
+    joins the group.  This models a relay's controlled isometry.
+    """
+    if not 0 <= a < group.n:
+        raise ValueError(f"vertex {a} out of range")
+    n = group.n + 1
+    gens = [
+        PauliOperator(n, g.x | (((g.x >> a) & 1) << group.n), g.z, g.phase)
+        for g in group.generators
+    ]
+    gens.append(PauliOperator(n, 0, (1 << a) | (1 << group.n), 0))
+    return StabilizerGroup(n, tuple(gens))

@@ -135,6 +135,34 @@ class TestFeasibilityCommand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "clients, source",
+        [
+            pytest.param([], "--clients is not given and {topology} has 5 clients", id="all-clients"),
+            pytest.param(["--clients", "c0,c1,c2"], "--clients names 3 clients", id="listed-clients"),
+        ],
+    )
+    def test_client_count_mismatch_names_target_and_clients(self, capsys, clients, source):
+        topology, target = fixture("star_topology.json"), fixture("cycle_target.json")
+        code, out, err = run(
+            capsys, "feasibility", "--topology", topology, "--target", target, *clients
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {target}: n is 4, but {source.format(topology=topology)}\n"
+
+    def test_max_clients_option_is_gone(self, capsys):
+        # the sweep cap is fixed: a larger one only starts a sweep whose table
+        # outgrows memory
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "feasibility",
+                "--topology", fixture("star_topology.json"),
+                "--target", fixture("kite_target.json"),
+                "--max-clients", "30",
+            ])
+        assert exc.value.code == 2
+        assert "--max-clients" in capsys.readouterr().err
+
 
 class TestContractCommand:
     def test_swap_chain(self, capsys):
@@ -316,11 +344,6 @@ class TestMetricsCommand:
         assert rows["LQC"][5] == "12" and rows["EPR"][5] == "18"
         assert float(rows["LQC"][6]) > float(rows["EPR"][6])
 
-    def test_empty_sweep_header_only(self, capsys):
-        code, out, _ = run(capsys, "metrics")
-        assert code == 0
-        assert out.strip() == "n,p,scheme,latency,memory,channels,p_success"
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -330,6 +353,23 @@ class TestMetricsCommand:
             (["--n", "3", "--p", "1..y"], "--p: bad range '1..y'"),
             (["--n", "5..2", "--p", "1"], "--n: empty range '5..2'"),
             (["--n", "3", "--p", "4..1"], "--p: empty range '4..1'"),
+            # options that used to be dropped silently, with exit 0
+            pytest.param([], "nothing to sweep: give --n and --p, or --topology", id="bare"),
+            pytest.param(
+                ["--n", "3", "--p", "2", "--topology", fixture("star_topology.json")],
+                "--n and --p cannot be combined with --topology",
+                id="topology-with-n-p",
+            ),
+            pytest.param(
+                ["--p", "2", "--topology", fixture("star_topology.json")],
+                "--p cannot be combined with --topology",
+                id="topology-with-p",
+            ),
+            pytest.param(
+                ["--n", "3", "--p", "2", "--center", "r0"],
+                "--center needs --topology",
+                id="center-without-topology",
+            ),
         ],
     )
     def test_bad_sweep_options_exit_two(self, capsys, argv, message):

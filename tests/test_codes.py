@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import groups_equal
+from conftest import groups_equal, member
 import dense_oracle as oracle
 import reference_codes as reference
 from stabnet import codes
@@ -156,8 +156,8 @@ class TestCompose:
         # under the graph-edge convention every listed string is a member
         # with positive sign
         for s in NINE_QUBIT:
-            member = comp.group.find_pattern(parse_pauli(s))
-            assert member is not None and member.phase == 0
+            element = member(comp.group, parse_pauli(s))
+            assert element is not None and element.phase == 0
 
     def test_plus_pair_convention_differs(self):
         comp = compose(
@@ -283,7 +283,7 @@ class TestDistance:
                     continue
                 op = PauliOperator(9, x, z, 0)
                 if all(op.commutes_with(g) for g in comp.group.generators):
-                    assert comp.group.find_pattern(op) is not None
+                    assert member(comp.group, op) is not None
 
 
 class TestMatchesReference:

@@ -9,7 +9,6 @@ from stabnet.contraction import BellConvention, ContractionInstance, Status, con
 from stabnet.graphstate import (
     Bipartition,
     GraphState,
-    augment,
     bipartitions,
     entanglement_rank,
     stabilizer_generators,
@@ -20,7 +19,7 @@ from stabnet.pauli import StabilizerGroup
 class TestGraphState:
     def test_from_edges_and_neighbors(self):
         g = GraphState.from_edges(4, [(0, 1), (1, 2)])
-        assert g.neighbors(1) == (0, 2)
+        assert g.rows[1] == 0b101  # neighbours 0 and 2
         assert g.edges() == [(0, 1), (1, 2)]
 
     def test_rejects_self_loop(self):
@@ -30,6 +29,18 @@ class TestGraphState:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
             GraphState(2, (0b10, 0b00))
+
+    @pytest.mark.parametrize("n", [1100, 2048])
+    def test_rejects_asymmetric_rows_past_the_scan_width(self, n):
+        # a hub row this wide with this many edges takes set_bits' string scan
+        star = GraphState.star(n).rows
+        far = n - 1
+        missing_back = star[:far] + (0,)  # edge 0 -> far without far -> 0
+        missing_forward = (star[0] ^ 1 << far,) + star[1:]  # far -> 0 only
+        for rows in (missing_back, missing_forward):
+            with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+                GraphState(n, rows)
+        assert GraphState(n, star).is_connected()
 
     def test_json_round_trip(self):
         g = GraphState.cycle(5)
@@ -63,7 +74,7 @@ class TestGraphState:
 
 class TestStabilizerGenerators:
     def test_empty_graph(self):
-        group = stabilizer_generators(GraphState.empty(3))
+        group = stabilizer_generators(GraphState.from_edges(3, []))
         assert group.to_strings() == ["+XII", "+IXI", "+IIX"]
 
     def test_single_edge(self):
@@ -100,7 +111,7 @@ class TestEntanglementRank:
             assert all(entanglement_rank(g, p) == 1 for p in bipartitions(n))
 
     def test_empty_graph_zero(self):
-        g = GraphState.empty(4)
+        g = GraphState.from_edges(4, [])
         assert all(entanglement_rank(g, p) == 0 for p in bipartitions(4))
 
     def test_five_cycle_two_vs_three(self):
@@ -117,7 +128,7 @@ class TestEntanglementRank:
             g = random_graph(rng, n)
             for p in bipartitions(n):
                 r = entanglement_rank(g, p)
-                assert r == entanglement_rank(g, p.swapped())
+                assert r == entanglement_rank(g, Bipartition(p.b, p.a))
                 assert r <= min(len(p.a), len(p.b))
 
     def test_matches_dense_reduced_rank(self, rng):
@@ -157,13 +168,13 @@ class TestBipartition:
 class TestAugment:
     def test_plus_state_becomes_bell(self):
         plus = StabilizerGroup.from_strings(["X"])
-        assert augment(plus, 0).to_strings() == ["+XX", "+ZZ"]
+        assert oracle.augment(plus, 0).to_strings() == ["+XX", "+ZZ"]
 
     def test_edge_state_branches(self):
         # copying vertex 0 of the 2-vertex edge state:
         # |0>|+>|0> + |1>|->|1> over (vertex 0, vertex 1, copy)
         group = stabilizer_generators(GraphState.from_edges(2, [(0, 1)]))
-        v = oracle.stabilizer_state_vector(augment(group, 0))
+        v = oracle.stabilizer_state_vector(oracle.augment(group, 0))
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = expected[0b010] = 0.5
         expected[0b101], expected[0b111] = 0.5, -0.5
@@ -175,7 +186,7 @@ class TestAugment:
             g = random_graph(rng, n)
             a = rng.randrange(n)
             group = stabilizer_generators(g)
-            copied = oracle.stabilizer_state_vector(augment(group, a))
+            copied = oracle.stabilizer_state_vector(oracle.augment(group, a))
             # dense basis-copy isometry: fan the amplitude of qubit a out
             # onto an appended qubit
             src = oracle.graph_state_vector(g)
@@ -191,7 +202,7 @@ class TestAugment:
     def test_round_trip_through_contraction(self):
         # project the copy onto <+| (a fresh |+> node glued by a Bell pair)
         group = stabilizer_generators(GraphState.cycle(4))
-        aug = augment(group, 2)
+        aug = oracle.augment(group, 2)
         plus = StabilizerGroup.from_strings(["X"])
         inst = ContractionInstance((aug, plus), ((4, 5),), BellConvention.PLUS_PAIR)
         res = contract(inst)
@@ -202,4 +213,4 @@ class TestAugment:
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
-            augment(StabilizerGroup.from_strings(["X"]), 1)
+            oracle.augment(StabilizerGroup.from_strings(["X"]), 1)

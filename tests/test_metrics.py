@@ -142,4 +142,4 @@ class TestRegularTreeSpec:
     def test_topology_has_degree_one_clients(self):
         t = RegularTreeSpec(3, 2).as_topology()
         for c in t.clients:
-            assert t.degree_channels(c) == 1
+            assert sum(k for u, v, k in t.edges if c in (u, v)) == 1

@@ -276,24 +276,26 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="'c1' is listed twice"):
             feasibility(star_topology(3), ["c0", "c1", "c1"], GraphState.cycle(3))
 
-    def test_sweep_cap(self):
-        t = star_topology(4)
-        with pytest.raises(ValueError):
+    def test_sweep_cap(self, monkeypatch):
+        # 21 clients is one past the cap; the refusal comes before any cut
+        def no_cut(t, a, b):
+            raise AssertionError("min_cut ran")
+
+        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        with pytest.raises(ValueError, match="exceed the exhaustive sweep cap 20"):
             feasibility(
-                t,
-                [f"c{i}" for i in range(4)],
-                GraphState.cycle(4),
-                max_clients=3,
+                star_topology(21),
+                [f"c{i}" for i in range(21)],
+                GraphState.cycle(21),
             )
 
     def test_explicit_bipartition_list_bypasses_cap(self):
-        t = star_topology(4)
-        parts = [Bipartition.split(4, [0, 1])]
+        t = star_topology(21)
+        parts = [Bipartition.split(21, [0, 1])]
         verdict = feasibility(
             t,
-            [f"c{i}" for i in range(4)],
-            GraphState.cycle(4),
-            max_clients=3,
+            [f"c{i}" for i in range(21)],
+            GraphState.cycle(21),
             bipartition_list=parts,
         )
         assert verdict.feasible and len(verdict.table) == 1
@@ -436,7 +438,8 @@ class TestToContraction:
             t = random_connected_topology(rng, max_nodes=7)
             clients = list(t.clients)
             assignment = {
-                r: repetition_state(t.degree_channels(r)) for r in t.relays
+                r: repetition_state(sum(c for u, v, c in t.edges if r in (u, v)))
+                for r in t.relays
             }
             inst, held = to_contraction(t, assignment)
             res = contract(inst)
@@ -459,4 +462,4 @@ class TestRepetitionState:
     def test_all_ranks_one(self):
         g = repetition_state(5)
         for p in bipartitions(5):
-            assert g.entanglement_rank(p.a) == 1
+            assert oracle.group_entanglement_rank(g, p.a) == 1
