@@ -1,9 +1,9 @@
 """Stabilizer-state distribution over quantum networks.
 
 Symplectic GF(2) Pauli algebra, graph states and their entanglement
-ranks, Bell-pair contraction of node states, min-cut feasibility of
-target states on a topology, and stabilizer-code composition.  The
-test suite cross-checks them against a dense state-vector oracle.
+ranks across A-side bit masks, Bell-pair contraction of node states,
+min-cut feasibility of target states on a topology, and stabilizer-code
+composition.  The tests cross-check them against a dense state-vector oracle.
 """
 
 from .codes import (
@@ -23,7 +23,6 @@ from .contraction import (
     contract,
 )
 from .graphstate import (
-    Bipartition,
     GraphState,
     bipartitions,
     entanglement_rank,

@@ -17,6 +17,7 @@ environment variable ``STABNET_DISTANCE_BUDGET``, else
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .codes import (
     storage_bound,
 )
 from .contraction import BellConvention, ContractionInstance, Status, contract
-from .graphstate import Bipartition, GraphState
+from .graphstate import GraphState, require_bipartition
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
 from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
 from .pauli import require_int
@@ -76,13 +77,15 @@ def _load_json(path: str, loader, what: str):
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
 
-def _side(side: list, count: int) -> list:
-    """A side's client indices, each an int in 0..count-1."""
+def _a_mask(side: list, count: int) -> int:
+    """The A-side mask of a list of client indices, each an int in 0..count-1."""
+    mask = 0
     for i in side:
         require_int(i, f"index {i!r}")
         if not 0 <= i < count:
             raise ValueError(f"index {i} is not a client index in 0..{count - 1}")
-    return side
+        mask |= 1 << i
+    return require_bipartition(count, mask)
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
@@ -96,17 +99,16 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     if len(clients) != target.n:  # client i holds target vertex i
         source = "--clients names" if args.clients else f"--clients is not given and {args.topology} has"
         raise CliError(f"{args.target}: n is {target.n}, but {source} {len(clients)} clients")
-    parts = None
+    masks = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
-        count = len(clients)
         try:
-            parts = [Bipartition.split(count, _side(side, count)) for side in sides]
-            if not parts:
+            masks = [_a_mask(side, len(clients)) for side in sides]
+            if not masks:
                 raise ValueError("the list is empty, so nothing would be checked")
         except (TypeError, ValueError) as exc:
             raise CliError(f"{args.bipartitions}: bad bipartition list: {exc}") from exc
-    verdict = feasibility(topology, clients, target, bipartition_list=parts)
+    verdict = feasibility(topology, clients, target, bipartition_list=masks)
     _emit(verdict.to_json() if args.compact else _dump(verdict.as_dict()), args.out)
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
@@ -136,53 +138,46 @@ def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
     return distance(code, args.weight_cap, budget=budget)
 
 
-def cmd_code(args: argparse.Namespace) -> int:
-    if args.code_command == "distance":
-        code = _load_json(args.code, StabilizerCode.from_json, "code")
-        d = _distance(code, args)
-        payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap}
-        if d is None:
-            payload["distance"] = None
-            payload["note"] = f"greater than cap {args.weight_cap}"
-        else:
-            payload["distance"] = d
-        _emit(_dump(payload), args.out)
-        return EXIT_OK
+def cmd_distance(args: argparse.Namespace) -> int:
+    code = _load_json(args.code, StabilizerCode.from_json, "code")
+    d = _distance(code, args)
+    payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap}
+    if d is None:
+        payload["distance"] = None
+        payload["note"] = f"greater than cap {args.weight_cap}"
+    else:
+        payload["distance"] = d
+    _emit(_dump(payload), args.out)
+    return EXIT_OK
 
-    if args.code_command == "compose":
-        # composition specs are contraction instances whose node states are
-        # the codes' generator lists
-        inst = _load_json(args.spec, ContractionInstance.from_json, "composition spec")
-        convention = BellConvention(args.convention) if args.convention else inst.convention
-        codes = [StabilizerCode(group) for group in inst.node_states]
-        try:
-            composed = compose(codes, inst.pairings, convention)
-        except CompositionError as exc:
-            _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
-            return EXIT_NEGATIVE
-        if args.distance:
-            composed = composed.with_distance(_distance(composed, args))
-        payload = composed.as_dict()
-        payload["convention"] = convention.value
-        _emit(_dump(payload), args.out)
-        return EXIT_OK
 
-    if args.code_command == "bounds":
-        payload = {
-            "singleton_max_distance": singleton_max_distance(args.boundary, args.k * args.m),
-            "storage_bound": storage_bound(args.boundary, args.m, args.l, args.k, args.d),
-            "parameters": {
-                "boundary": args.boundary,
-                "m": args.m,
-                "l": args.l,
-                "k": args.k,
-                "d": args.d,
-            },
-        }
-        _emit(_dump(payload), args.out)
-        return EXIT_OK
+def cmd_compose(args: argparse.Namespace) -> int:
+    # composition specs are contraction instances whose node states are
+    # the codes' generator lists
+    inst = _load_json(args.spec, ContractionInstance.from_json, "composition spec")
+    convention = BellConvention(args.convention) if args.convention else inst.convention
+    codes = [StabilizerCode(group) for group in inst.node_states]
+    try:
+        composed = compose(codes, inst.pairings, convention)
+    except CompositionError as exc:
+        _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
+        return EXIT_NEGATIVE
+    if args.distance:
+        composed = composed.with_distance(_distance(composed, args))
+    payload = composed.as_dict()
+    payload["convention"] = convention.value
+    _emit(_dump(payload), args.out)
+    return EXIT_OK
 
-    raise CliError(f"unknown code subcommand {args.code_command!r}")
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    payload = {
+        "singleton_max_distance": singleton_max_distance(args.boundary, args.k * args.m),
+        "storage_bound": storage_bound(args.boundary, args.m, args.l, args.k, args.d),
+        "parameters": {name: getattr(args, name) for name in ("boundary", "m", "l", "k", "d")},
+    }
+    _emit(_dump(payload), args.out)
+    return EXIT_OK
 
 
 def _parse_range(option: str, text: str) -> list[int]:
@@ -209,6 +204,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if tree_options:
             raise CliError(f"{' and '.join(tree_options)} cannot be combined with --topology")
         topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
+        if args.center is not None and args.center not in topology.node_ids:
+            raise CliError(f"--center: {args.center!r} is not a node of {args.topology}")
         for scheme in (Scheme.LQC, Scheme.EPR):
             channels = channel_count(topology, scheme, center=args.center)
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
@@ -233,6 +230,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabnet",
@@ -272,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--weight-cap", type=int, default=5)
     pc.add_argument("--budget", type=int, help=budget_help)
     pc.add_argument("--out")
+    pc.set_defaults(func=cmd_distance)
 
     pc = code_sub.add_parser("compose", help="compose codes by Bell contraction")
     pc.add_argument("spec", help="composition spec JSON file")
@@ -280,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--weight-cap", type=int, default=5)
     pc.add_argument("--budget", type=int, help=budget_help)
     pc.add_argument("--out")
+    pc.set_defaults(func=cmd_compose)
 
     pc = code_sub.add_parser("bounds", help="singleton and storage bounds")
     pc.add_argument("--boundary", "--B", dest="boundary", type=int, required=True)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, required=True, help="logical qubits per code")
     pc.add_argument("--d", type=int, required=True, help="distance per code")
     pc.add_argument("--out")
-    p.set_defaults(func=cmd_code)
+    pc.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("metrics", help="comparison sweeps as CSV")
     p.add_argument("--n", help="connectivity value or range, e.g. 3 or 2..4")
@@ -303,14 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, EnumerationBudgetError) as exc:
+    except (CliError, ValueError, OSError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a bug must not read as a negative verdict

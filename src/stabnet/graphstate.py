@@ -2,12 +2,12 @@
 
 A graph state is kept purely as a symmetric adjacency bit-matrix (one
 packed integer per vertex row); the stabilizer generators K_a = X_a
-Z_{N(a)} are derived on demand.  Entanglement rank across a bipartition
-{A, B} is the GF(2) rank of the off-diagonal adjacency block rows(A) x
-cols(B), which for graph states equals the log2 rank of the reduced
-density operator (the tests cross-check it against a dense state vector
-and against the rank of a general stabilizer group).  It is the one
-entanglement rank in the package: the feasibility sweep's cut rank.
+Z_{N(a)} are derived on demand.  A bipartition {A, B} is its A-side bit
+mask (bit i set puts vertex i on A; B is the rest).  Its entanglement
+rank is the GF(2) rank of the adjacency block rows(A) x cols(B), which
+for graph states equals the log2 rank of the reduced density operator
+(the tests cross-check it against a dense state vector and a general
+stabilizer group's rank): the feasibility sweep's one cut rank.
 """
 
 from __future__ import annotations
@@ -137,36 +137,12 @@ class GraphState:
         return cls.from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+def bipartitions(n: int) -> Iterator[int]:
+    """All bipartitions of range(n) as A-side bit masks, vertex 0 always on A.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(sorted(self.a)))
-        object.__setattr__(self, "b", tuple(sorted(self.b)))
-        if not self.a or not self.b:
-            raise ValueError("both sides must be nonempty")
-        if len(set(self.a) | set(self.b)) < len(self.a) + len(self.b):
-            raise ValueError("sides overlap or repeat a vertex")
-
-    @classmethod
-    def split(cls, n: int, a_side: Iterable[int]) -> Bipartition:
-        a = set(a_side)
-        return cls(tuple(a), tuple(q for q in range(n) if q not in a))
-
-    def covers(self, n: int) -> bool:
-        return set(self.a) | set(self.b) == set(range(n))
-
-
-def bipartitions(n: int) -> Iterator[Bipartition]:
-    """All bipartitions of range(n), side A always containing vertex 0.
-
-    Generated lazily, in increasing order of the A-side bit mask.
+    Generated lazily, in increasing mask order.
     """
-    full = (1 << n) - 1
-    for a_mask in range(1, full, 2):
-        yield Bipartition(tuple(gf2.set_bits(a_mask)), tuple(gf2.set_bits(full ^ a_mask)))
+    yield from range(1, (1 << n) - 1, 2)
 
 
 def stabilizer_generators(g: GraphState) -> StabilizerGroup:
@@ -175,9 +151,15 @@ def stabilizer_generators(g: GraphState) -> StabilizerGroup:
     return StabilizerGroup(g.n, tuple(gens))
 
 
-def entanglement_rank(g: GraphState, part: Bipartition) -> int:
-    """GF(2) rank of the adjacency block between the two sides."""
-    if not part.covers(g.n):
-        raise ValueError("bipartition does not cover the vertex set")
-    b_mask = sum(1 << v for v in part.b)
-    return gf2.rank_packed(g.rows[u] & b_mask for u in part.a)
+def require_bipartition(n: int, a_mask: int) -> int:
+    """``a_mask`` if it puts some but not all of range(n) on side A, else ValueError."""
+    if a_mask >> n or a_mask in (0, (1 << n) - 1):  # a negative mask shifts to -1
+        raise ValueError(f"A-side mask {a_mask:#b} must put some but not all of vertices 0..{n - 1} on side A")
+    return a_mask
+
+
+def entanglement_rank(g: GraphState, a_mask: int) -> int:
+    """GF(2) rank of the adjacency block between side A (the set bits of
+    ``a_mask``) and side B (every other vertex)."""
+    b_mask = require_bipartition(g.n, a_mask) ^ ((1 << g.n) - 1)
+    return gf2.rank_packed(g.rows[u] & b_mask for u in gf2.set_bits(a_mask))

@@ -11,7 +11,7 @@ sets' channel totals, which no flow can exceed.
 A target graph state is single-shot distributable only if every client
 bipartition's min-cut is at least the target's entanglement rank across
 it (a necessary condition; no coding strategy is synthesized), so
-`feasibility` streams the bipartitions and reports the first violation
+`feasibility` streams A-side client masks and reports the first violation
 or the full table.  Twin clients share a neighbour->channel map, so
 swapping two is an automorphism: a cut depends only on how many twins of
 each class sit on each side, and the sweep runs one flow per such count.
@@ -30,8 +30,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
-from .graphstate import Bipartition, GraphState, bipartitions, entanglement_rank
+from .graphstate import GraphState, bipartitions, entanglement_rank, require_bipartition
 from .pauli import PauliOperator, StabilizerGroup, require_int
 
 DEFAULT_MAX_CLIENTS = 20
@@ -254,45 +255,48 @@ def feasibility(
     t: NetworkTopology,
     clients: Sequence[str],
     target: GraphState,
-    bipartition_list: Iterable[Bipartition] | None = None,
+    bipartition_list: Iterable[int] | None = None,
 ) -> FeasibilityVerdict:
     """Check min-cut >= entanglement rank on every client bipartition.
 
-    Client ``i`` holds target vertex ``i``.  The sweep is exhaustive up
-    to ``DEFAULT_MAX_CLIENTS`` clients (k clients give 2**(k-1) - 1
-    rows); beyond that an explicit bipartition list is required.
-    Bipartitions that differ only by swapping twin clients share one
-    min-cut.
+    Client ``i`` holds target vertex ``i`` and sits on side A of every
+    A-side mask with bit ``i`` set.  The sweep is exhaustive up to
+    ``DEFAULT_MAX_CLIENTS`` clients (k clients give 2**(k-1) - 1 rows);
+    beyond that an explicit mask list is required.  Bipartitions that
+    differ only by swapping twin clients share one min-cut.
     """
     clients = list(clients)
-    if len(clients) != target.n:
-        raise ValueError(
-            f"{len(clients)} clients vs target on {target.n} vertices"
-        )
+    n = len(clients)
+    if n != target.n:
+        raise ValueError(f"{n} clients vs target on {target.n} vertices")
     check_clients(t, clients)
     if bipartition_list is None:
-        if len(clients) > DEFAULT_MAX_CLIENTS:
+        if n > DEFAULT_MAX_CLIENTS:
             raise ValueError(
-                f"{len(clients)} clients exceed the exhaustive sweep cap "
+                f"{n} clients exceed the exhaustive sweep cap "
                 f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
             )
-        bipartition_list = bipartitions(len(clients))
-    # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin count
-    # per class, which fixes the cut: B is the rest, or entanglement_rank raises.
+        bipartition_list = bipartitions(n)
+    else:  # every mask is checked before the first cut runs
+        bipartition_list = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
+    # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin
+    # count per class, which fixes the cut since side B is the rest.
     index, out, head, cap = t._arcs
     twins: dict[frozenset, int] = {}  # neighbour->channel map -> class
     links = (frozenset((head[k], cap[k]) for k in out[index[c]]) for c in clients)
-    weights = [(len(clients) + 1) ** twins.setdefault(m, len(twins)) for m in links]
+    weights = [(n + 1) ** twins.setdefault(m, len(twins)) for m in links]
+    full = (1 << n) - 1
     cuts: dict[int, int] = {}
     table = []
     witness = None
-    for part in bipartition_list:
-        a = tuple(clients[i] for i in part.a)
-        b = tuple(clients[i] for i in part.b)
-        key = sum(weights[i] for i in part.a)
+    for a_mask in bipartition_list:
+        side = list(gf2.set_bits(a_mask))
+        a = tuple(clients[i] for i in side)
+        b = tuple(clients[i] for i in gf2.set_bits(full ^ a_mask))
+        key = sum(weights[i] for i in side)
         if key not in cuts:
             cuts[key] = min_cut(t, a, b)
-        report = BipartitionReport(a, b, cuts[key], entanglement_rank(target, part))
+        report = BipartitionReport(a, b, cuts[key], entanglement_rank(target, a_mask))
         table.append(report)
         if not report.ok:
             witness = report

@@ -7,7 +7,9 @@ only swaps twin clients.  The code below does the same test the plain
 way: every bipartition is listed up front, every cut is a fresh max-flow
 on a dense capacity matrix with each client set merged into one
 terminal, and every block of the adjacency matrix is packed one bit at
-a time.  Tests require both to render byte-identical verdicts.
+a time.  A bipartition here is a pair of sorted index tuples ``(a, b)``,
+not the package's A-side mask.  Tests require both to render
+byte-identical verdicts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from conftest import pack_row
 from stabnet import gf2
-from stabnet.graphstate import Bipartition, GraphState
+from stabnet.graphstate import GraphState
 from stabnet.network import (
     DEFAULT_MAX_CLIENTS,
     BipartitionReport,
@@ -89,23 +91,35 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
         flow += bottleneck
 
 
-def entanglement_rank(g: GraphState, part: Bipartition) -> int:
+Part = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def split(n: int, a_side: Iterable[int]) -> Part:
+    """``(a, b)``: the distinct indices of ``a_side`` and the rest of range(n)."""
+    a = set(a_side)
+    if not a or not a < set(range(n)):
+        raise ValueError("both sides must be nonempty subsets of the vertex set")
+    return tuple(sorted(a)), tuple(q for q in range(n) if q not in a)
+
+
+def entanglement_rank(g: GraphState, part: Part) -> int:
     """GF(2) rank of the adjacency block, packed bit by bit."""
-    if not part.covers(g.n):
+    a, b = part
+    if sorted(a + b) != list(range(g.n)) or not a or not b:
         raise ValueError("bipartition does not cover the vertex set")
     block = []
-    for u in part.a:
-        block.append(pack_row((g.rows[u] >> v) & 1 for v in part.b))
+    for u in a:
+        block.append(pack_row((g.rows[u] >> v) & 1 for v in b))
     return gf2.rank_packed(block)
 
 
-def bipartitions(n: int) -> Iterator[Bipartition]:
+def bipartitions(n: int) -> Iterator[Part]:
     """All bipartitions of range(n), side A always containing vertex 0."""
     rest = list(range(1, n))
     for mask in range(1 << (n - 1)):
         a = [0] + [rest[i] for i in range(n - 1) if (mask >> i) & 1]
         if len(a) < n:
-            yield Bipartition.split(n, a)
+            yield split(n, a)
 
 
 def feasibility(
@@ -113,7 +127,7 @@ def feasibility(
     clients: Sequence[str],
     target: GraphState,
     max_clients: int = DEFAULT_MAX_CLIENTS,
-    bipartition_list: Sequence[Bipartition] | None = None,
+    bipartition_list: Sequence[Part] | None = None,
 ) -> FeasibilityVerdict:
     """One fresh min-cut and one rank per bipartition, listed up front."""
     clients = list(clients)
@@ -129,12 +143,12 @@ def feasibility(
         bipartition_list = list(bipartitions(len(clients)))
     table = []
     witness = None
-    for part in bipartition_list:
-        mc = min_cut(t, [clients[i] for i in part.a], [clients[i] for i in part.b])
-        rank = entanglement_rank(target, part)
+    for a, b in bipartition_list:
+        mc = min_cut(t, [clients[i] for i in a], [clients[i] for i in b])
+        rank = entanglement_rank(target, (a, b))
         report = BipartitionReport(
-            tuple(clients[i] for i in part.a),
-            tuple(clients[i] for i in part.b),
+            tuple(clients[i] for i in a),
+            tuple(clients[i] for i in b),
             mc,
             rank,
         )

@@ -230,7 +230,7 @@ def test_criterion_5_rank_formula_on_all_small_graphs():
                 v = oracle.graph_state_vector(g)
                 for part in bipartitions(n):
                     rank = entanglement_rank(g, part)
-                    assert 2**rank == oracle.reduced_rank(v, part.a)
+                    assert 2**rank == oracle.reduced_rank(v, list(gf2.set_bits(part)))
                     checked += 1
         print(f"[acceptance]   graphs: {sum(len(g) for g in connected.values())}, "
               f"bipartition checks: {checked}")
@@ -269,7 +269,7 @@ def test_criterion_6_star_and_ghz_guarantees():
             result = contract(inst)
             assert result.status is Status.PURE
             for part in bipartitions(len(result.boundary)):
-                assert oracle.group_entanglement_rank(result.residual, part.a) == 1
+                assert oracle.group_entanglement_rank(result.residual, list(gf2.set_bits(part))) == 1
 
 
 def test_criterion_7_min_cut_exactness():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stabnet.cli import main
+from stabnet.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -115,6 +115,40 @@ class TestFeasibilityCommand:
         assert code == 2
         assert out == ""
         assert f"{path}: bad bipartition list: " in err
+
+    @pytest.mark.parametrize("side", [[], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0, 0]])
+    def test_side_a_empty_or_every_client_exit_two(self, tmp_path, capsys, side):
+        # star_topology has 5 clients: side A must hold some but not all
+        path = tmp_path / "parts.json"
+        path.write_text(json.dumps([[0, 1], side]))
+        code, out, err = run(
+            capsys,
+            "feasibility",
+            "--topology", fixture("star_topology.json"),
+            "--target", fixture("kite_target.json"),
+            "--bipartitions", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: bad bipartition list: ")
+
+    def test_index_lists_are_sets_in_any_order(self, tmp_path, capsys):
+        # repeats count once, order is free and index 0 may sit on side B
+        path = tmp_path / "parts.json"
+        path.write_text("[[2, 0, 2], [3, 1]]")
+        code, out, _ = run(
+            capsys,
+            "feasibility",
+            "--topology", fixture("star_topology.json"),
+            "--target", fixture("kite_target.json"),
+            "--bipartitions", str(path),
+        )
+        assert code == 0
+        table = json.loads(out)["table"]
+        assert [(r["a"], r["b"]) for r in table] == [
+            (["c0", "c2"], ["c1", "c3", "c4"]),
+            (["c1", "c3"], ["c0", "c2", "c4"]),
+        ]
 
     @pytest.mark.parametrize(
         "clients, message",
@@ -378,6 +412,13 @@ class TestMetricsCommand:
         assert out == ""
         assert err.startswith(f"error: {message}")
 
+    def test_unknown_center_names_option_and_topology(self, capsys):
+        topology = fixture("star_topology.json")
+        code, out, err = run(capsys, "metrics", "--topology", topology, "--center", "r9")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --center: 'r9' is not a node of {topology}\n"
+
 
 class TestNumericFields:
     """A numeric input field that is not a JSON integer exits 2 naming the
@@ -421,6 +462,30 @@ class TestNumericFields:
         assert code == 2
         assert out == ""
         assert f"{path}: bad code: {field} must be an integer, got {value!r}" in err
+
+
+class TestParser:
+    def test_built_once_and_reused(self, capsys):
+        # a good command, two bad ones (a parse error and an input error),
+        # then the good one again: one parser serves them all
+        good = ("code", "bounds", "--B", "9", "--m", "3", "--l", "5", "--k", "1", "--d", "3")
+        code, first, _ = run(capsys, *good)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["code", "bounds", "--B", "nine"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'nine'" in capsys.readouterr().err
+        code, _, err = run(capsys, "contract", "--instance", "no-such-file.json")
+        assert code == 2 and err.startswith("error: cannot read no-such-file.json")
+        code, again, _ = run(capsys, *good)
+        assert (code, again) == (0, first)
+        assert build_parser() is build_parser()
+
+    def test_code_needs_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["code"])
+        assert exc.value.code == 2
+        assert "required: code_command" in capsys.readouterr().err
 
 
 class TestInternalError:

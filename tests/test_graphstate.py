@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_graph
 import dense_oracle as oracle
+from stabnet import gf2
 from stabnet.contraction import BellConvention, ContractionInstance, Status, contract
 from stabnet.graphstate import (
-    Bipartition,
     GraphState,
     bipartitions,
     entanglement_rank,
@@ -118,18 +118,19 @@ class TestEntanglementRank:
         g = GraphState.cycle(5)
         v = oracle.graph_state_vector(g)
         for p in bipartitions(5):
-            if len(p.a) in (2, 3):
+            if p.bit_count() in (2, 3):
                 assert entanglement_rank(g, p) == 2
-                assert oracle.reduced_rank(v, p.a) == 4
+                assert oracle.reduced_rank(v, list(gf2.set_bits(p))) == 4
 
     def test_symmetric_and_bounded(self, rng):
         for _ in range(30):
             n = rng.randint(2, 6)
             g = random_graph(rng, n)
+            full = (1 << n) - 1
             for p in bipartitions(n):
                 r = entanglement_rank(g, p)
-                assert r == entanglement_rank(g, Bipartition(p.b, p.a))
-                assert r <= min(len(p.a), len(p.b))
+                assert r == entanglement_rank(g, full ^ p)  # the same cut, B as side A
+                assert r <= min(p.bit_count(), n - p.bit_count())
 
     def test_matches_dense_reduced_rank(self, rng):
         for _ in range(25):
@@ -137,32 +138,28 @@ class TestEntanglementRank:
             g = random_graph(rng, n)
             v = oracle.graph_state_vector(g)
             for p in bipartitions(n):
-                assert 2 ** entanglement_rank(g, p) == oracle.reduced_rank(v, p.a)
+                assert 2 ** entanglement_rank(g, p) == oracle.reduced_rank(v, list(gf2.set_bits(p)))
 
     def test_invalid_partition(self):
+        # a vertex past the graph on side A, for every k >= n and a negative mask
         g = GraphState.cycle(4)
-        with pytest.raises(ValueError):
-            entanglement_rank(g, Bipartition((0,), (1, 2)))
+        for a_mask in (0b10001, 1 << 4, 1 << 9, -1):
+            with pytest.raises(ValueError, match="some but not all"):
+                entanglement_rank(g, a_mask)
 
 
 class TestBipartition:
     def test_rejects_empty_side(self):
-        with pytest.raises(ValueError):
-            Bipartition((), (0, 1))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            Bipartition((0, 1), (1, 2))
-
-    def test_rejects_repeated_vertex(self):
-        # a side is a set: a repeat would count one twin client twice
-        with pytest.raises(ValueError, match="repeat"):
-            Bipartition((0, 0), (1, 2))
+        g = GraphState.path(2)
+        for a_mask in (0, 0b11):  # side A empty, then side B empty
+            with pytest.raises(ValueError, match="some but not all"):
+                entanglement_rank(g, a_mask)
 
     def test_enumeration_halves_work(self):
         parts = list(bipartitions(4))
         assert len(parts) == 7  # 2^(4-1) - 1
-        assert all(0 in p.a for p in parts)
+        assert all(p & 1 for p in parts)  # vertex 0 is on side A
+        assert parts == sorted(set(parts))
 
 
 class TestAugment:

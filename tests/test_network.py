@@ -13,9 +13,9 @@ from conftest import (
 import dense_oracle as oracle
 import reference_network as reference
 import stabnet.network
+from stabnet import gf2
 from stabnet.contraction import Status, contract
 from stabnet.graphstate import (
-    Bipartition,
     GraphState,
     bipartitions,
     entanglement_rank,
@@ -58,7 +58,8 @@ def random_sweep_case(rng):
     client-client edges (some joining clients that share every other
     neighbour), twin clients, isolated clients, shuffled node order, a
     ``clients`` subset in shuffled order and an explicit bipartition
-    list.  Returns the feasibility arguments."""
+    list, as A-side index lists that may leave out index 0.  Returns the
+    feasibility arguments, with that list in place of the masks."""
     relays = [f"r{i}" for i in range(rng.randint(1, 4))]
     names = [f"c{i}" for i in range(rng.randint(2, 8))]
     edges = [(relays[rng.randrange(i)], relays[i], rng.randint(1, 3)) for i in range(1, len(relays))]
@@ -84,13 +85,10 @@ def random_sweep_case(rng):
         clients = rng.sample(clients, rng.randint(2, len(clients)))
     n = len(clients)
     target = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
-    parts = None
+    sides = None
     if rng.random() < 0.3:
-        parts = [
-            Bipartition.split(n, rng.sample(range(n), rng.randint(1, n - 1)))
-            for _ in range(rng.randint(1, 12))
-        ]
-    return t, clients, target, parts
+        sides = [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(rng.randint(1, 12))]
+    return t, clients, target, sides
 
 
 def nx_min_cut(t, a, b):
@@ -291,14 +289,33 @@ class TestFeasibility:
 
     def test_explicit_bipartition_list_bypasses_cap(self):
         t = star_topology(21)
-        parts = [Bipartition.split(21, [0, 1])]
         verdict = feasibility(
             t,
             [f"c{i}" for i in range(21)],
             GraphState.cycle(21),
-            bipartition_list=parts,
+            bipartition_list=[0b11],  # clients 0 and 1 on side A
         )
         assert verdict.feasible and len(verdict.table) == 1
+
+    def test_invalid_mask_raises_before_any_cut(self, monkeypatch):
+        # an empty side, or a bit past the clients, is a ValueError and
+        # never an IndexError, even after a valid mask
+        def no_cut(t, a, b):
+            raise AssertionError("min_cut ran")
+
+        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        clients = [f"c{i}" for i in range(5)]
+        for bad in (0, 0b11111, 1 << 5, 1 << 6, 1 << 40, -1):
+            for masks in ([bad], [0b11, bad]):
+                with pytest.raises(ValueError, match="some but not all"):
+                    feasibility(star_topology(5), clients, GraphState.cycle(5), bipartition_list=masks)
+
+    def test_explicit_list_of_every_mask_matches_sweep(self, rng):
+        for _ in range(20):
+            t, clients, target, _ = random_sweep_case(rng)
+            masks = list(range(1, (1 << len(clients)) - 1, 2))
+            got = feasibility(t, clients, target, bipartition_list=masks)
+            assert got.as_dict() == feasibility(t, clients, target).as_dict()
 
 
 class TestMatchesReference:
@@ -308,20 +325,26 @@ class TestMatchesReference:
 
     def test_bipartition_order(self):
         for n in range(1, 11):
-            assert list(bipartitions(n)) == list(reference.bipartitions(n))
+            got = [reference.split(n, gf2.set_bits(m)) for m in bipartitions(n)]
+            assert got == list(reference.bipartitions(n))
 
     def test_rank_matches_bitwise_packing(self, rng):
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 9))
-            for part in bipartitions(g.n):
-                assert entanglement_rank(g, part) == reference.entanglement_rank(g, part)
+            for m in bipartitions(g.n):
+                part = reference.split(g.n, gf2.set_bits(m))
+                assert entanglement_rank(g, m) == reference.entanglement_rank(g, part)
 
     def test_random_sweeps(self):
         rng = random.Random(0x5EED)
         verdicts = []
         for _ in range(240):
-            t, clients, target, parts = random_sweep_case(rng)
-            got = feasibility(t, clients, target, bipartition_list=parts)
+            t, clients, target, sides = random_sweep_case(rng)
+            masks = parts = None
+            if sides is not None:
+                masks = [sum(1 << i for i in side) for side in sides]
+                parts = [reference.split(len(clients), side) for side in sides]
+            got = feasibility(t, clients, target, bipartition_list=masks)
             want = reference.feasibility(t, clients, target, bipartition_list=parts)
             assert got.to_json() == want.to_json()
             verdicts.append(got.feasible)
@@ -462,4 +485,4 @@ class TestRepetitionState:
     def test_all_ranks_one(self):
         g = repetition_state(5)
         for p in bipartitions(5):
-            assert oracle.group_entanglement_rank(g, p.a) == 1
+            assert oracle.group_entanglement_rank(g, list(gf2.set_bits(p))) == 1

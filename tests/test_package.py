@@ -5,7 +5,6 @@ import stabnet
 EXPORTS = [
     "AnticommutingGeneratorsError",
     "BellConvention",
-    "Bipartition",
     "CompositionError",
     "ContractionInstance",
     "ContractionResult",
@@ -52,4 +51,4 @@ EXPORTS = [
 
 def test_export_list_is_pinned():
     assert sorted(stabnet.__all__) == EXPORTS
-    assert len(EXPORTS) == 44
+    assert len(EXPORTS) == 43
