@@ -152,11 +152,12 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    # composition specs are contraction instances whose node states are
-    # the codes' generator lists
+    # composition specs are contraction instances whose node states are the
+    # codes' generator lists; compose keeps their qubit indices in offset order
     inst = _load_json(args.spec, ContractionInstance.from_json, "composition spec")
     convention = BellConvention(args.convention) if args.convention else inst.convention
-    codes = [StabilizerCode(group) for group in inst.node_states]
+    placed = sorted(zip(inst.offsets, inst.node_states), key=lambda pair: pair[0])
+    codes = [StabilizerCode(group) for _, group in placed]
     try:
         composed = compose(codes, inst.pairings, convention)
     except CompositionError as exc:

@@ -14,13 +14,14 @@ If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
 generators than boundary qubits the result is a proper code space
 (status MIXED); with full-rank node states this only happens when the
-instance ignores the usual connectivity assumption.
+instance ignores the usual connectivity assumption.  A fully contracted
+instance takes the same path: its candidates are n = 0 scalars +-1, and
+its residual is the empty group on zero qubits.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -164,7 +165,8 @@ class ContractionInstance:
     def from_json(cls, text: str) -> ContractionInstance:
         data = json.loads(text)
         nodes = tuple(
-            StabilizerGroup.from_strings(strings) for strings in data["node_states"]
+            StabilizerGroup.from_strings(strings, field=f"node_states[{k}]")
+            for k, strings in enumerate(data["node_states"])
         )
         return cls(
             node_states=nodes,
@@ -206,48 +208,26 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     boundary = inst.boundary
     ops = inst.all_generators()
 
-    contracted_mask = _spread(inst.contracted)
-    contracted_mask |= contracted_mask << n
-    kernel = gf2.left_kernel(op.symplectic_row() & contracted_mask for op in ops)
+    contracted = sum(1 << q for q in inst.contracted)
+    columns = contracted | contracted << n
+    kernel = gf2.left_kernel(op.symplectic_row() & columns for op in ops)
 
-    not_boundary = ~_spread(boundary)
     bit_of = {q: 1 << k for k, q in enumerate(boundary)}
     candidates = []
     for mask in kernel:
         witness = product((ops[i] for i in gf2.set_bits(mask)), n)
-        if (witness.x | witness.z) & not_boundary:
+        if (witness.x | witness.z) & contracted:
             raise AssertionError("kernel product is not identity on contracted qubits")
-        if boundary:
-            x = sum(bit_of[q] for q in gf2.set_bits(witness.x))
-            z = sum(bit_of[q] for q in gf2.set_bits(witness.z))
-            witness = PauliOperator(len(boundary), x, z, witness.phase)
-        candidates.append(witness)
+        x = sum(bit_of[q] for q in gf2.set_bits(witness.x))
+        z = sum(bit_of[q] for q in gf2.set_bits(witness.z))
+        candidates.append(PauliOperator(len(boundary), x, z, witness.phase))
 
     exponent = len(inst.contracted) - len(ops) + len(kernel)
-    if not boundary:
-        # fully contracted: the residual is a scalar; -I means it vanished
-        for c in candidates:
-            if c.phase == 2:
-                return ContractionResult(
-                    Status.ANNIHILATED, StabilizerGroup(0, ()), boundary, 0
-                )
-        return ContractionResult(Status.PURE, StabilizerGroup(0, ()), boundary, exponent)
-
     try:
-        residual = reduce_generators(
-            [c for c in candidates if not (c.is_identity_pattern() and c.phase == 0)],
-            n=len(boundary),
-        )
+        residual = reduce_generators(candidates, n=len(boundary))
     except MinusIdentityError:
         return ContractionResult(
             Status.ANNIHILATED, StabilizerGroup(len(boundary), ()), boundary, 0
         )
     status = Status.PURE if len(residual) == len(boundary) else Status.MIXED
     return ContractionResult(status, residual, boundary, exponent)
-
-
-def _spread(qubits: Iterable[int]) -> int:
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    return mask

@@ -68,10 +68,6 @@ class Eliminator:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def n_rows(self) -> int:
-        return self._n_rows
-
     def _strip(self, row: int, mask: int) -> tuple[int, int]:
         pivots = self._pivots
         while row:

@@ -13,7 +13,7 @@ stabilizer group's rank): the feasibility sweep's one cut rank.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import gf2
@@ -24,7 +24,6 @@ from .pauli import PauliOperator, StabilizerGroup, require_int
 class GraphState:
     n: int
     rows: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -42,13 +41,9 @@ class GraphState:
             for b in gf2.set_bits(row):
                 if not (self.rows[b] >> a) & 1:
                     raise ValueError("adjacency is not symmetric")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels must match the vertex count")
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], labels: Sequence[str] | None = None
-    ) -> GraphState:
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> GraphState:
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -57,7 +52,7 @@ class GraphState:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), tuple(labels) if labels is not None else None)
+        return cls(n, tuple(rows))
 
     @classmethod
     def path(cls, n: int) -> GraphState:

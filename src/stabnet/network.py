@@ -42,6 +42,13 @@ class ArityMismatchError(ValueError):
     """An assigned relay state does not have one qubit per incident channel."""
 
 
+def _require_str(value: object, field: str) -> str:
+    # never str(value): a node 1 and a node "1" would become one node
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Nodes with relay/client roles; edges carry qubit-channel counts."""
@@ -50,28 +57,23 @@ class NetworkTopology:
     edges: tuple[tuple[str, str, int], ...]  # (u, v, channels)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple((str(i), str(r)) for i, r in self.nodes))
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(
-                (str(u), str(v), require_int(c, f"edges[{k}].channels"))
-                for k, (u, v, c) in enumerate(self.edges)
-            ),
-        )
-        ids = [i for i, _ in self.nodes]
+        object.__setattr__(self, "nodes", tuple((i, r) for i, r in self.nodes))
+        object.__setattr__(self, "edges", tuple((u, v, c) for u, v, c in self.edges))
+        ids = [_require_str(i, f"nodes[{k}].id") for k, (i, _) in enumerate(self.nodes)]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
         roles = dict(self.nodes)
         for role in roles.values():
             if role not in ("relay", "client"):
                 raise ValueError(f"unknown role {role!r}")
-        for u, v, c in self.edges:
+        for k, (u, v, c) in enumerate(self.edges):
+            _require_str(u, f"edges[{k}].u")
+            _require_str(v, f"edges[{k}].v")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in roles or v not in roles:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
-            if c < 1:
+            if require_int(c, f"edges[{k}].channels") < 1:
                 raise ValueError(f"edge ({u}, {v}) needs channels >= 1, got {c}")
 
     @property

@@ -13,7 +13,9 @@ with Y the standard Pauli matrix.  The single sign convention used
 project-wide is ``Y = i * X * Z`` (equivalently ``X * Z = -i * Y``);
 :func:`product`, which ``*`` also calls, is the one place that applies it.
 Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
-odd phases only occur in intermediate products.
+odd phases only occur in intermediate products.  ``n`` may be 0: a
+zero-qubit operator is the scalar ``i**phase``, and ``StabilizerGroup(0,
+())`` is the residual of a fully contracted instance.
 
 Commutation check
 -----------------
@@ -72,15 +74,12 @@ class PauliOperator:
     phase: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
+        if self.n < 0:
+            raise ValueError(f"qubit count must be >= 0, got {self.n}")
         if self.x < 0 or self.z < 0 or (self.x | self.z).bit_length() > self.n:
             raise ValueError("x/z bits extend beyond the qubit count")
         if not 0 <= self.phase <= 3:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
-
-    def is_identity_pattern(self) -> bool:
-        return self.x == 0 and self.z == 0
 
     def weight(self) -> int:
         """Number of qubits with a non-identity letter."""
@@ -231,13 +230,19 @@ class StabilizerGroup:
             raise ValueError("generators are GF(2)-dependent")
 
     @classmethod
-    def from_strings(cls, texts: Iterable[str], n: int | None = None) -> StabilizerGroup:
-        ops = [parse_pauli(t, n) for t in texts]
-        if not ops:
-            if n is None:
-                raise ValueError("empty generator list needs an explicit qubit count")
-            return cls(n, ())
-        return cls(ops[0].n, tuple(ops))
+    def from_strings(
+        cls, texts: Iterable[str], n: int | None = None, field: str = "generators"
+    ) -> StabilizerGroup:
+        """Errors name ``field``, and ``field[i]`` for a bad string ``i``."""
+        ops: list[PauliOperator] = []
+        try:
+            for text in texts:
+                ops.append(parse_pauli(text, n))
+            return cls(_qubit_count(ops, n), tuple(ops))
+        except PauliParseError as exc:
+            raise ValueError(f"{field}[{len(ops)}]: {exc}") from exc
+        except ValueError as exc:
+            raise type(exc)(f"{field}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -256,6 +261,14 @@ class StabilizerGroup:
         return elim
 
 
+def _qubit_count(ops: Sequence[PauliOperator], n: int | None) -> int:
+    if n is not None:
+        return n
+    if not ops:
+        raise ValueError("empty generator list needs an explicit qubit count")
+    return ops[0].n
+
+
 def reduce_generators(
     ops: Iterable[PauliOperator], n: int | None = None
 ) -> StabilizerGroup:
@@ -266,11 +279,7 @@ def reduce_generators(
     and :class:`MinusIdentityError` if the inputs generate -I.
     """
     ops = list(ops)
-    if not ops:
-        if n is None:
-            raise ValueError("empty generator list needs an explicit qubit count")
-        return StabilizerGroup(n, ())
-    n = ops[0].n
+    n = _qubit_count(ops, n)
     for op in ops:
         if op.phase not in (0, 2):
             raise ValueError(f"{op} is not Hermitian with sign +-1")

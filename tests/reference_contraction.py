@@ -154,7 +154,7 @@ def contract_json(inst: ContractionInstance) -> str:
         return render("PURE", [], exponent)
     try:
         kept = reduce_generators(
-            [c for c in candidates if not (c.is_identity_pattern() and c.phase == 0)]
+            [c for c in candidates if not ((c.x | c.z) == 0 and c.phase == 0)]
         )
     except MinusIdentityError:
         return render("ANNIHILATED", [], 0)

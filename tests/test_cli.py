@@ -290,6 +290,25 @@ class TestCodeCommand:
         assert len(data["generators"]) == 6
         assert data["convention"] == "graph-edge"
 
+    def test_compose_honours_qubit_offsets(self, tmp_path, capsys):
+        # the GHZ code sits at qubits 1..3 and the |+> state at qubit 0;
+        # contracting qubits 0 and 1 leaves a Bell pair on qubits 2 and 3
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "node_states": [["+XXX", "+ZZI", "+IZZ"], ["+X"]],
+            "qubit_offsets": [1, 0],
+            "pairings": [[0, 1]],
+        }))
+        code, out, _ = run(capsys, "contract", "--instance", str(spec))
+        assert code == 0
+        residual = json.loads(out)
+        code, out, _ = run(capsys, "code", "compose", str(spec))
+        assert code == 0
+        composed = json.loads(out)
+        assert composed["generators"] == residual["residual"] == ["+ZZ", "+XX"]
+        assert composed["n"] == len(residual["boundary"]) == 2
+        assert composed["k"] == 0
+
     def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("STABNET_DISTANCE_BUDGET", "10")
         code, _, err = run(
@@ -462,6 +481,69 @@ class TestNumericFields:
         assert code == 2
         assert out == ""
         assert f"{path}: bad code: {field} must be an integer, got {value!r}" in err
+
+
+class TestNamedEntries:
+    """A bad string, group or id in an input file exits 2 naming the file
+    and the entry, not just a character position."""
+
+    @pytest.mark.parametrize(
+        "command, name, edit, message",
+        [
+            pytest.param(
+                ("contract", "--instance"), "swap_chain_instance.json",
+                lambda d: d["node_states"][0].__setitem__(1, "+ZQ"),
+                "bad contraction instance: node_states[0][1]: invalid character 'Q' at position 2",
+                id="instance-string",
+            ),
+            pytest.param(
+                ("contract", "--instance"), "swap_chain_instance.json",
+                lambda d: d["node_states"][1].__setitem__(1, "+ZI"),
+                "bad contraction instance: node_states[1]: +XX and +ZI anticommute",
+                id="instance-anticommuting",
+            ),
+            pytest.param(
+                ("code", "compose"), "swap_chain_instance.json",
+                lambda d: d["node_states"][1].append("-YY"),
+                "bad composition spec: node_states[1]: generators are GF(2)-dependent",
+                id="spec-dependent",
+            ),
+            pytest.param(
+                ("code", "distance"), "five_qubit_code.json",
+                lambda d: d["generators"].__setitem__(3, "+ZXIX"),
+                "bad code: generators[3]: expected 5 letters, found 4 at position 4",
+                id="code-length",
+            ),
+            pytest.param(
+                ("code", "distance"), "five_qubit_code.json",
+                lambda d: d["generators"].__setitem__(2, "+XIXZZ+"),
+                "bad code: generators[2]: invalid character '+' at position 6",
+                id="code-string",
+            ),
+        ],
+    )
+    def test_pauli_files(self, tmp_path, capsys, command, name, edit, message):
+        path = edited_fixture(tmp_path, name, edit)
+        code, out, err = run(capsys, *command, path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_topology_ids_must_be_strings(self, tmp_path, capsys):
+        # the hub renamed to the number 1 while its edges say "1": both
+        # used to become the node "1", and the sweep ran
+        def edit(data):
+            data["nodes"][0]["id"] = 1
+            for edge in data["edges"]:
+                edge["u"] = "1"
+
+        path = edited_fixture(tmp_path, "star_topology.json", edit)
+        code, out, err = run(
+            capsys, "feasibility", "--topology", path, "--target", fixture("kite_target.json")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: bad topology: nodes[0].id must be a string, got 1\n"
 
 
 class TestParser:

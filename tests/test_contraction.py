@@ -334,6 +334,24 @@ def code_instance(rng: random.Random) -> ContractionInstance:
     return ContractionInstance(tuple(nodes), pairings, rng.choice(list(BellConvention)))
 
 
+def fully_paired_instance(rng: random.Random) -> ContractionInstance:
+    """Graph-state nodes with random signs and every qubit paired: an
+    empty boundary, often annihilated under either convention."""
+
+    def node() -> StabilizerGroup:
+        group = stabilizer_generators(random_graph(rng, rng.randint(1, 4)))
+        signed = (g.negated() if rng.random() < 0.3 else g for g in group.generators)
+        return StabilizerGroup(group.n, tuple(signed))
+
+    nodes = [node()]
+    while rng.random() < 0.6 or sum(g.n for g in nodes) % 2:
+        nodes.append(node())
+    total = sum(g.n for g in nodes)
+    qubits = rng.sample(range(total), total)
+    pairings = tuple((qubits[k], qubits[k + 1]) for k in range(0, total, 2))
+    return ContractionInstance(tuple(nodes), pairings)
+
+
 def relay_tree(rng: random.Random, n: int, p: int, relays: str, convention):
     """``RegularTreeSpec(n, p)`` lowered with repetition or random
     connected graph-state relays."""
@@ -366,6 +384,25 @@ class TestMatchesReference:
             assert result.to_json() == reference_contraction.contract_json(inst)
             statuses[result.status] += 1
         assert all(statuses[s] > 0 for s in Status), statuses
+
+    def test_empty_boundaries_and_annihilation(self, rng):
+        # every qubit paired: the residual is a scalar +-1, which takes the
+        # engine's one general path and the reference's own scalar branch;
+        # each instance runs under both conventions
+        seen = {c: Counter() for c in BellConvention}
+        for k in range(240):
+            base = code_instance(rng) if k % 4 == 3 else fully_paired_instance(rng)
+            for convention in BellConvention:
+                inst = ContractionInstance(
+                    base.node_states, base.pairings, convention, base.offsets
+                )
+                result = contract(inst)
+                assert result.to_json() == reference_contraction.contract_json(inst)
+                seen[convention][result.status] += 1
+                seen[convention]["empty"] += not inst.boundary
+        for counts in seen.values():
+            assert counts["empty"] >= 60 and counts[Status.ANNIHILATED] >= 30, seen
+            assert counts[Status.MIXED] > 0, seen
 
     @pytest.mark.parametrize("convention", list(BellConvention))
     @pytest.mark.parametrize("n, p", [(2, 6), (3, 3)])

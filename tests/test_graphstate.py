@@ -65,12 +65,6 @@ class TestGraphState:
         assert GraphState.cycle(4).is_connected()
         assert not GraphState.from_edges(3, [(0, 1)]).is_connected()
 
-    def test_labels(self):
-        g = GraphState.from_edges(2, [(0, 1)], labels=("left", "right"))
-        assert g.labels == ("left", "right")
-        with pytest.raises(ValueError):
-            GraphState.from_edges(2, [(0, 1)], labels=("only-one",))
-
 
 class TestStabilizerGenerators:
     def test_empty_graph(self):

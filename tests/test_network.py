@@ -123,6 +123,28 @@ class TestTopology:
                 (("a", "client"), ("b", "client")), (("a", "b", 0),)
             )
 
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            pytest.param(
+                [(1, "client"), ("1", "relay")], [],
+                r"nodes\[0\]\.id must be a string, got 1", id="node-id",
+            ),
+            pytest.param(
+                [("1", "client"), ("2", "client")], [("1", "2", 1), (1, "2", 1)],
+                r"edges\[1\]\.u must be a string, got 1", id="edge-u",
+            ),
+            pytest.param(
+                [("1", "client"), ("2", "client")], [("1", 2.0, 1)],
+                r"edges\[0\]\.v must be a string, got 2\.0", id="edge-v",
+            ),
+        ],
+    )
+    def test_ids_and_roles_are_never_converted(self, nodes, edges, message):
+        # an id 1 and an id "1" used to become the same node
+        with pytest.raises(ValueError, match=message):
+            NetworkTopology(tuple(nodes), tuple(edges))
+
     def test_json_round_trip(self):
         t = bottleneck_topology()
         again = NetworkTopology.from_json(t.to_json())

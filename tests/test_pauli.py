@@ -57,7 +57,7 @@ class TestParse:
 
     def test_identity(self):
         p = parse_pauli("II")
-        assert p.n == 2 and p.is_identity_pattern() and p.phase == 0
+        assert p.n == 2 and (p.x | p.z) == 0 and p.phase == 0
 
     def test_negative_yy(self):
         p = parse_pauli("-YY")
@@ -333,6 +333,57 @@ class TestRangeCheck:
     def test_negative_bits_rejected(self, x, z):
         with pytest.raises(ValueError, match="beyond the qubit count"):
             PauliOperator(8, x, z)
+
+
+class TestZeroQubits:
+    """A zero-qubit operator is the scalar i**phase: a fully contracted
+    residual is an ordinary group on n = 0 qubits."""
+
+    def test_scalar_operators(self):
+        minus = PauliOperator(0, 0, 0, 2)
+        assert minus.to_string() == "-" and minus.weight() == 0
+        assert product([minus, minus], 0) == PauliOperator(0, 0, 0)
+        assert minus.symplectic_row() == 0
+        for x, z in ((1, 0), (0, 1)):
+            with pytest.raises(ValueError, match="beyond the qubit count"):
+                PauliOperator(0, x, z)
+
+    def test_negative_qubit_count_rejected(self):
+        with pytest.raises(ValueError, match="qubit count must be >= 0, got -1"):
+            PauliOperator(-1, 0, 0)
+
+    def test_plus_one_is_dropped_and_minus_one_annihilates(self):
+        # the same as +II and -II among two-qubit generators
+        plus, minus = PauliOperator(0, 0, 0), PauliOperator(0, 0, 0, 2)
+        assert reduce_generators([plus, plus], n=0) == StabilizerGroup(0, ())
+        with pytest.raises(MinusIdentityError):
+            reduce_generators([plus, minus], n=0)
+        with pytest.raises(MinusIdentityError):
+            reduce_generators([minus])
+        ops = [parse_pauli(s) for s in ("XX", "II", "ZZ", "-II")]
+        assert reduce_generators(ops[:3]).to_strings() == ["+XX", "+ZZ"]
+        with pytest.raises(MinusIdentityError):
+            reduce_generators(ops)
+
+
+class TestQubitCountHonoured:
+    def test_reduce_generators_checks_a_given_count(self):
+        with pytest.raises(ValueError, match="qubit counts differ: 3 vs 2"):
+            reduce_generators([parse_pauli("XXX")], n=2)
+        assert reduce_generators([parse_pauli("XXX")], n=3).n == 3
+        assert reduce_generators([], n=4) == StabilizerGroup(4, ())
+        with pytest.raises(ValueError, match="explicit qubit count"):
+            reduce_generators([])
+
+    def test_from_strings_names_the_bad_entry(self):
+        with pytest.raises(ValueError, match=r"^generators\[1\]: invalid character 'Q'"):
+            StabilizerGroup.from_strings(["XX", "XQ"])
+        with pytest.raises(ValueError, match=r"^generators\[0\]: expected 3 letters"):
+            StabilizerGroup.from_strings(["XX"], n=3)
+        with pytest.raises(AnticommutingGeneratorsError, match=r"^node_states\[2\]: "):
+            StabilizerGroup.from_strings(["XI", "ZI"], field="node_states[2]")
+        with pytest.raises(ValueError, match=r"^generators: generators are GF\(2\)-dependent"):
+            StabilizerGroup.from_strings(["XX", "ZZ", "-YY"])
 
 
 def _permute_qubits(op, perm):
