@@ -37,7 +37,7 @@ from .contraction import BellConvention, ContractionInstance, Status, contract
 from .graphstate import GraphState, require_bipartition
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
 from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
-from .pauli import require_int
+from .pauli import require_int, require_type
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -103,6 +103,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
         try:
+            sides = require_type(sides, list, "bipartitions", "a list of index lists")
             masks = [_a_mask(side, len(clients)) for side in sides]
             if not masks:
                 raise ValueError("the list is empty, so nothing would be checked")

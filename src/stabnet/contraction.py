@@ -7,8 +7,8 @@ and every Bell-pair generator as symplectic rows, restrict the rows to
 the contracted qubit columns, and compute the GF(2) kernel.  Each kernel
 basis vector is materialized as an explicit operator product over its set
 bits so that signs are exact; the products are identity on the contracted
-qubits and their boundary restrictions generate the residual group, which
-:func:`reduce_generators` validates once.
+qubits, and the :class:`StabilizerGroup` built from their boundary
+restrictions, in one elimination, is the residual.
 
 If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 from . import gf2
 from .pauli import (
@@ -33,6 +34,7 @@ from .pauli import (
     product,
     reduce_generators,
     require_int,
+    require_type,
 )
 
 
@@ -98,12 +100,8 @@ class ContractionInstance:
         if not self.node_states:
             raise ValueError("need at least one node state")
         if not self.offsets:
-            cumulative = []
-            total = 0
-            for g in self.node_states:
-                cumulative.append(total)
-                total += g.n
-            object.__setattr__(self, "offsets", tuple(cumulative))
+            sizes = (g.n for g in self.node_states[:-1])
+            object.__setattr__(self, "offsets", tuple(accumulate(sizes, initial=0)))
         if len(self.offsets) != len(self.node_states):
             raise ValueError("one offset per node state required")
         covered: set[int] = set()
@@ -164,15 +162,16 @@ class ContractionInstance:
     @classmethod
     def from_json(cls, text: str) -> ContractionInstance:
         data = json.loads(text)
+        states = require_type(data["node_states"], list, "node_states", "a list of node states")
         nodes = tuple(
             StabilizerGroup.from_strings(strings, field=f"node_states[{k}]")
-            for k, strings in enumerate(data["node_states"])
+            for k, strings in enumerate(states)
         )
         return cls(
             node_states=nodes,
-            pairings=data["pairings"],
+            pairings=require_type(data["pairings"], list, "pairings", "a list of qubit pairs"),
             convention=BellConvention(data.get("convention", "plus-pair")),
-            offsets=data.get("qubit_offsets", ()),
+            offsets=require_type(data.get("qubit_offsets", []), list, "qubit_offsets", "a list of integers"),
         )
 
 

@@ -3,9 +3,9 @@
 A row is a Python integer whose bit ``i`` is column ``i``.  Arbitrary
 precision ints give word-packed storage and word-wise XOR row operations
 for free, which is what keeps distance searches and bipartition sweeps
-cheap.  The module offers what the package runs: ``Eliminator`` (its
-``solve`` is every membership test), ``rank_packed`` for cut ranks and
-independence checks, ``left_kernel`` for contraction, and ``set_bits``.
+cheap.  The module offers what the package runs: ``Eliminator`` (every
+stabilizer group and membership test), ``rank_packed`` for cut ranks,
+``left_kernel`` for contraction, and ``set_bits``.
 
 Elimination pivots on the highest set bit of a row.  Which rows are
 independent, and the relation that expresses each dependent row in the

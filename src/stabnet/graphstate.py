@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from . import gf2
-from .pauli import PauliOperator, StabilizerGroup, require_int
+from .pauli import PauliOperator, StabilizerGroup, require_int, require_type
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ class GraphState:
         data = json.loads(text)
         n = require_int(data["n"], "n")
         if "bits" in data:
-            return cls.from_bitstring(n, data["bits"])
+            return cls.from_bitstring(n, require_type(data["bits"], str, "bits", "a string of 0s and 1s"))
         edges = []
-        for k, edge in enumerate(data["edges"]):
+        for k, edge in enumerate(require_type(data["edges"], list, "edges", "a list of vertex pairs")):
             if len(edge) != 2:
                 raise ValueError(f"edges[{k}] has {len(edge)} entries, expected 2")
             edges.append(tuple(require_int(v, f"edges[{k}][{s}]") for s, v in enumerate(edge)))

@@ -33,20 +33,13 @@ from functools import cached_property
 from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
 from .graphstate import GraphState, bipartitions, entanglement_rank, require_bipartition
-from .pauli import PauliOperator, StabilizerGroup, require_int
+from .pauli import PauliOperator, StabilizerGroup, require_int, require_type
 
 DEFAULT_MAX_CLIENTS = 20
 
 
 class ArityMismatchError(ValueError):
     """An assigned relay state does not have one qubit per incident channel."""
-
-
-def _require_str(value: object, field: str) -> str:
-    # never str(value): a node 1 and a node "1" would become one node
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -59,16 +52,17 @@ class NetworkTopology:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple((i, r) for i, r in self.nodes))
         object.__setattr__(self, "edges", tuple((u, v, c) for u, v, c in self.edges))
-        ids = [_require_str(i, f"nodes[{k}].id") for k, (i, _) in enumerate(self.nodes)]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate node ids")
-        roles = dict(self.nodes)
-        for role in roles.values():
+        # never str(id): a node 1 and a node "1" would become one node
+        for k, (i, role) in enumerate(self.nodes):
+            require_type(i, str, f"nodes[{k}].id", "a string")
             if role not in ("relay", "client"):
-                raise ValueError(f"unknown role {role!r}")
+                raise ValueError(f'nodes[{k}].role must be "relay" or "client", got {role!r}')
+        roles = dict(self.nodes)
+        if len(roles) != len(self.nodes):
+            raise ValueError("duplicate node ids")
         for k, (u, v, c) in enumerate(self.edges):
-            _require_str(u, f"edges[{k}].u")
-            _require_str(v, f"edges[{k}].v")
+            require_type(u, str, f"edges[{k}].u", "a string")
+            require_type(v, str, f"edges[{k}].v", "a string")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             if u not in roles or v not in roles:
@@ -142,9 +136,13 @@ class NetworkTopology:
     @classmethod
     def from_json(cls, text: str) -> NetworkTopology:
         data = json.loads(text)
+        nodes, edges = (require_type(data[key], list, key, "a list of objects") for key in ("nodes", "edges"))
+        for key, entries in (("nodes", nodes), ("edges", edges)):
+            for k, d in enumerate(entries):
+                require_type(d, dict, f"{key}[{k}]", "an object")
         return cls(
-            nodes=tuple((d["id"], d["role"]) for d in data["nodes"]),
-            edges=tuple((d["u"], d["v"], d.get("channels", 1)) for d in data["edges"]),
+            nodes=tuple((d["id"], d["role"]) for d in nodes),
+            edges=tuple((d["u"], d["v"], d.get("channels", 1)) for d in edges),
         )
 
 

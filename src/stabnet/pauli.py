@@ -17,15 +17,20 @@ odd phases only occur in intermediate products.  ``n`` may be 0: a
 zero-qubit operator is the scalar ``i**phase``, and ``StabilizerGroup(0,
 ())`` is the residual of a fully contracted instance.
 
-Commutation check
+Stabilizer groups
 -----------------
-:class:`StabilizerGroup` checks that its generators commute pair by pair
-when the group is small or dense.  A large sparse group (a contraction
-residual has thousands of generators of a few letters each) instead
-builds, per qubit, the mask of generators with X there and the mask with
-Z there (:func:`support_masks`); a generator's anticommutation mask is
-then one XOR per letter.  The choice compares the pair count with the
-letter count, and both paths name the same first pair (i < j).
+The :class:`StabilizerGroup` constructor is the one reduction: a single
+elimination keeps the first independent occurrence of each direction, so
+``StabilizerGroup(2, (+XX, +ZZ, -YY))`` keeps ``(+XX, +ZZ)``.  It raises
+on an odd phase or another qubit count, then on an anticommuting pair,
+then on a dependent sign that puts -I in the group.  The kept generators
+commute pair by pair when the group is small or dense.  A large sparse
+group (a contraction residual has thousands of generators of a few
+letters each) instead builds, per qubit, the mask of generators with X
+there and the mask with Z there (:func:`support_masks`); a generator's
+anticommutation mask is then one XOR per letter.  The choice compares the
+pair count with the letter count, and both paths name the same first
+pair (i < j).
 """
 
 from __future__ import annotations
@@ -61,6 +66,13 @@ def require_int(value: object, field: str) -> int:
     never rounded.  Every numeric input field goes through this check."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def require_type(value: object, kind: type | tuple[type, ...], field: str, what: str):
+    """``value`` if it is a ``kind``: a string is never read as a list."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field} must be {what}, got {value!r}")
     return value
 
 
@@ -209,36 +221,50 @@ def _check_commuting(gens: Sequence[PauliOperator], n: int) -> None:
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """An independent, mutually commuting generating set of signed Paulis.
-
-    May be under full rank (a code space) or empty; never generates -I.
-    """
+    """The group its generators generate, kept as the first independent
+    occurrence of each direction: under full rank (a code space) or empty
+    at times, never holding -I.  Raises ``ValueError`` on an odd phase or
+    another qubit count, then :class:`AnticommutingGeneratorsError` on the
+    first anticommuting pair (i < j), then :class:`MinusIdentityError`."""
 
     n: int
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for g in self.generators:
-            if g.n != self.n:
-                raise ValueError(f"generator {g} is not on {self.n} qubits")
-            if g.phase not in (0, 2):
-                raise ValueError(f"generator {g} is not Hermitian with sign +-1")
-        _check_commuting(self.generators, self.n)
-        rows = [g.symplectic_row() for g in self.generators]
-        if gf2.rank_packed(rows) != len(rows):
-            raise ValueError("generators are GF(2)-dependent")
+        ops = tuple(self.generators)
+        for op in ops:
+            if op.phase not in (0, 2):
+                raise ValueError(f"{op} is not Hermitian with sign +-1")
+            if op.n != self.n:
+                raise ValueError(f"qubit counts differ: {op.n} vs {self.n}")
+        elim = gf2.Eliminator()
+        relations = [elim.add(op.symplectic_row()) for op in ops]
+        kept = tuple(op for op, r in zip(ops, relations) if r is None)
+        # A dependent op is a product of earlier kept ones, so an anticommuting
+        # pair holding it follows an earlier pair of kept ones: checking the
+        # kept ones names the all-pairs loop's first pair, before any sign.
+        _check_commuting(kept, self.n)
+        for k, relation in enumerate(relations):
+            if relation is not None:  # ops[k] is spanned by earlier keepers
+                witness = product((ops[i] for i in gf2.set_bits(relation ^ 1 << k)), self.n)
+                if witness.phase != ops[k].phase:
+                    raise MinusIdentityError(f"{ops[k]} and the spanned product {witness} differ by -1")
+        object.__setattr__(self, "generators", kept)
 
     @classmethod
     def from_strings(
-        cls, texts: Iterable[str], n: int | None = None, field: str = "generators"
+        cls, texts: Sequence[str], n: int | None = None, field: str = "generators"
     ) -> StabilizerGroup:
         """Errors name ``field``, and ``field[i]`` for a bad string ``i``."""
+        require_type(texts, (list, tuple), field, "a list of Pauli strings")
         ops: list[PauliOperator] = []
         try:
             for text in texts:
                 ops.append(parse_pauli(text, n))
-            return cls(_qubit_count(ops, n), tuple(ops))
+            group = cls(_qubit_count(ops, n), tuple(ops))
+            if len(group) != len(ops):
+                raise ValueError("generators are GF(2)-dependent")
+            return group
         except PauliParseError as exc:
             raise ValueError(f"{field}[{len(ops)}]: {exc}") from exc
         except ValueError as exc:
@@ -272,33 +298,7 @@ def _qubit_count(ops: Sequence[PauliOperator], n: int | None) -> int:
 def reduce_generators(
     ops: Iterable[PauliOperator], n: int | None = None
 ) -> StabilizerGroup:
-    """Independent generating subset spanning the same group.
-
-    Keeps the first independent occurrence of each direction.  Raises
-    :class:`AnticommutingGeneratorsError` on a non-commuting input pair
-    and :class:`MinusIdentityError` if the inputs generate -I.
-    """
-    ops = list(ops)
-    n = _qubit_count(ops, n)
-    for op in ops:
-        if op.phase not in (0, 2):
-            raise ValueError(f"{op} is not Hermitian with sign +-1")
-        if op.n != n:
-            raise ValueError(f"qubit counts differ: {op.n} vs {n}")
-    elim = gf2.Eliminator()
-    relations = [elim.add(op.symplectic_row()) for op in ops]
-    # The kept rows span every input, so by bilinearity of the symplectic
-    # form they commute exactly when all inputs do: the group's own check
-    # covers the inputs, and it runs before any sign is compared.
-    group = StabilizerGroup(n, tuple(op for op, r in zip(ops, relations) if r is None))
-    for op, relation in zip(ops, relations):
-        if relation is None:
-            continue
-        # op's pattern is spanned by earlier keepers; check the exact sign.
-        top = relation.bit_length() - 1
-        witness = product((ops[i] for i in gf2.set_bits(relation ^ (1 << top))), n)
-        if witness.phase != op.phase:
-            raise MinusIdentityError(
-                f"{op} and the spanned product {witness} differ by -1"
-            )
-    return group
+    """The group ``ops`` generate, on ``n`` qubits (by default the first
+    op's count); see :class:`StabilizerGroup` for what it keeps and raises."""
+    ops = tuple(ops)
+    return StabilizerGroup(_qubit_count(ops, n), ops)

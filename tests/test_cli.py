@@ -546,6 +546,118 @@ class TestNamedEntries:
         assert err == f"error: {path}: bad topology: nodes[0].id must be a string, got 1\n"
 
 
+def _set(key, value, *dropped):
+    """An edit that sets ``key`` to ``value`` and drops the ``dropped`` keys."""
+
+    def edit(data):
+        data[key] = value
+        for name in dropped:
+            data.pop(name)
+
+    return edit
+
+
+STAR, KITE = fixture("star_topology.json"), fixture("kite_target.json")
+
+
+class TestJsonTypes:
+    """A JSON value of the wrong type is never read as a list: a string in
+    place of a list exits 2 naming the field instead of being iterated
+    letter by letter."""
+
+    @pytest.mark.parametrize(
+        "argv, name, edit, message",
+        [
+            pytest.param(
+                ["contract", "--instance"], "swap_chain_instance.json",
+                _set("node_states", "XZ"),
+                "bad contraction instance: node_states must be a list of node states, got 'XZ'",
+                id="node_states",
+            ),
+            pytest.param(
+                # each letter used to become a one-qubit node, and this ran as PURE
+                ["contract", "--instance"], "swap_chain_instance.json",
+                lambda d: d.update(node_states=["X", "Z"], pairings=[[0, 1]], qubit_offsets=[0, 1]),
+                "bad contraction instance: node_states[0] must be a list of Pauli strings, got 'X'",
+                id="node_states-entry",
+            ),
+            pytest.param(
+                ["contract", "--instance"], "swap_chain_instance.json",
+                _set("pairings", "02"),
+                "bad contraction instance: pairings must be a list of qubit pairs, got '02'",
+                id="pairings",
+            ),
+            pytest.param(
+                ["contract", "--instance"], "swap_chain_instance.json",
+                _set("qubit_offsets", "02"),
+                "bad contraction instance: qubit_offsets must be a list of integers, got '02'",
+                id="qubit_offsets",
+            ),
+            pytest.param(
+                ["code", "distance"], "five_qubit_code.json",
+                _set("generators", "XI", "n", "k"),
+                "bad code: generators must be a list of Pauli strings, got 'XI'",
+                id="generators",
+            ),
+            pytest.param(
+                ["feasibility", "--topology", STAR, "--target"], "kite_target.json",
+                _set("edges", "xy"),
+                "bad target graph: edges must be a list of vertex pairs, got 'xy'",
+                id="graph-edges",
+            ),
+            pytest.param(
+                ["feasibility", "--topology", STAR, "--target"], "kite_target.json",
+                _set("bits", 1, "edges"),
+                "bad target graph: bits must be a string of 0s and 1s, got 1",
+                id="graph-bits",
+            ),
+            pytest.param(
+                ["metrics", "--topology"], "star_topology.json",
+                _set("nodes", "ab"),
+                "bad topology: nodes must be a list of objects, got 'ab'",
+                id="topology-nodes",
+            ),
+            pytest.param(
+                ["metrics", "--topology"], "star_topology.json",
+                _set("edges", "xy"),
+                "bad topology: edges must be a list of objects, got 'xy'",
+                id="topology-edges",
+            ),
+            pytest.param(
+                ["metrics", "--topology"], "star_topology.json",
+                lambda d: d["edges"].__setitem__(2, "hub-c2"),
+                "bad topology: edges[2] must be an object, got 'hub-c2'",
+                id="topology-edge-entry",
+            ),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, tmp_path, capsys, argv, name, edit, message):
+        path = edited_fixture(tmp_path, name, edit)
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("sides", ['"01"', '{"0": [1]}', "3"])
+    def test_bipartition_list(self, tmp_path, capsys, sides):
+        path = tmp_path / "sides.json"
+        path.write_text(sides)
+        code, out, err = run(
+            capsys, "feasibility", "--topology", STAR, "--target", KITE, "--bipartitions", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        got = repr(json.loads(sides))
+        assert err == f"error: {path}: bad bipartition list: bipartitions must be a list of index lists, got {got}\n"
+
+    def test_bad_role_names_its_entry(self, tmp_path, capsys):
+        path = edited_fixture(tmp_path, "star_topology.json", lambda d: d["nodes"][1].update(role=0))
+        code, out, err = run(capsys, "metrics", "--topology", path)
+        assert code == 2
+        assert out == ""
+        assert err == f'error: {path}: bad topology: nodes[1].role must be "relay" or "client", got 0\n'
+
+
 class TestParser:
     def test_built_once_and_reused(self, capsys):
         # a good command, two bad ones (a parse error and an input error),

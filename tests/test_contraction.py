@@ -22,7 +22,7 @@ from stabnet.contraction import (
 )
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.metrics import RegularTreeSpec
-from stabnet.network import repetition_state, to_contraction
+from stabnet.network import NetworkTopology, repetition_state, to_contraction
 from stabnet.pauli import PauliOperator, StabilizerGroup, parse_pauli
 
 EPR = StabilizerGroup.from_strings(["XX", "ZZ"])
@@ -425,3 +425,56 @@ class TestMatchesReference:
             assert mask is not None
             chosen = (g for i, g in enumerate(result.residual.generators) if (mask >> i) & 1)
             assert reference_contraction.product(chosen, 512) == target
+
+
+def random_relay_tree(rng: random.Random) -> ContractionInstance:
+    """A random relay tree with clients as leaves, lowered by
+    ``to_contraction`` with randomly signed graph-state relays and a random
+    convention: 20 to 100 qubits, past the dense oracle's 12."""
+    while True:
+        relays = [f"r{i}" for i in range(rng.randint(2, 7))]
+        clients = [f"c{i}" for i in range(rng.randint(2, 8))]
+        edges = [(relays[rng.randrange(i)], relays[i], rng.randint(1, 2)) for i in range(1, len(relays))]
+        edges += [(rng.choice(relays), c, rng.randint(1, 2)) for c in clients]
+        # a channel is a Bell pair plus one port at each relay end
+        qubits = sum(c * (4 if v in relays else 3) for _, v, c in edges)
+        if 20 <= qubits <= 100:
+            break
+    nodes = tuple((r, "relay") for r in relays) + tuple((c, "client") for c in clients)
+    topology = NetworkTopology(nodes, tuple(edges))
+    degree = Counter()
+    for u, v, channels in edges:
+        degree[u] += channels
+        degree[v] += channels
+    assignment = {}
+    for relay in relays:
+        group = stabilizer_generators(random_graph(rng, degree[relay]))
+        signed = (g.negated() if rng.random() < 0.3 else g for g in group.generators)
+        assignment[relay] = StabilizerGroup(group.n, tuple(signed))
+    inst = to_contraction(topology, assignment, rng.choice(list(BellConvention)))[0]
+    assert inst.total_qubits == qubits
+    return inst
+
+
+class TestNodeOrderInvariance:
+    """Past the dense oracle: listing the node states in another order, each
+    at its own ``qubit_offsets``, is the same instance, so it must give the
+    same status, exponent and residual group."""
+
+    def test_shuffled_node_states(self):
+        for seed in range(32):
+            rng = random.Random(seed)
+            inst = random_relay_tree(rng)
+            order = list(range(len(inst.node_states)))
+            rng.shuffle(order)
+            shuffled = ContractionInstance(
+                tuple(inst.node_states[k] for k in order),
+                inst.pairings,
+                inst.convention,
+                tuple(inst.offsets[k] for k in order),
+            )
+            plain, other = contract(inst), contract(shuffled)
+            assert (other.status, other.log_norm_exponent, other.boundary) == (
+                plain.status, plain.log_norm_exponent, plain.boundary
+            )
+            assert groups_equal(plain.residual, other.residual)

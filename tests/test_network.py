@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -508,3 +509,59 @@ class TestRepetitionState:
         g = repetition_state(5)
         for p in bipartitions(5):
             assert oracle.group_entanglement_rank(g, list(gf2.set_bits(p))) == 1
+
+
+def wide_mesh_case(rng):
+    """A relay mesh of 2 to 5 relays with 6 to 10 clients on 1 or 2
+    channels each, and a random target on the clients: most such cases
+    are feasible, some are not."""
+    relays = [f"r{i}" for i in range(rng.randint(2, 5))]
+    edges = [(relays[rng.randrange(i)], relays[i], rng.randint(1, 3)) for i in range(1, len(relays))]
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(relays, 2)
+        edges.append((u, v, rng.randint(1, 3)))
+    clients = [f"c{i}" for i in range(rng.randint(6, 10))]
+    edges += [(rng.choice(relays), c, rng.randint(1, 2)) for c in clients]
+    nodes = tuple((r, "relay") for r in relays) + tuple((c, "client") for c in clients)
+    target = random_graph(rng, len(clients), rng.choice((0.1, 0.3, 0.6)))
+    return NetworkTopology(nodes, tuple(edges)), clients, target
+
+
+class TestSweepInvariants:
+    """Metamorphic checks of the sweep at 6 to 10 clients, which need no
+    exhaustive reference."""
+
+    def test_complement_masks_give_the_same_rows(self, rng):
+        rows = 0
+        for _ in range(16):
+            t, clients, target = wide_mesh_case(rng)
+            n = len(clients)
+            masks = list(bipartitions(n))
+            plain = feasibility(t, clients, target, bipartition_list=masks)
+            flipped = feasibility(t, clients, target, bipartition_list=[m ^ ((1 << n) - 1) for m in masks])
+            assert plain.feasible == flipped.feasible
+            assert len(plain.table) == len(flipped.table)
+            for r, f in zip(plain.table, flipped.table):
+                assert (f.a, f.b) == (r.b, r.a)
+                assert (f.min_cut, f.required_rank) == (r.min_cut, r.required_rank)
+            rows += len(plain.table)
+        assert rows >= 1000, rows
+
+    def test_more_channels_never_break_feasibility(self, rng):
+        verdicts = Counter()
+        for _ in range(24):
+            t, clients, target = wide_mesh_case(rng)
+            before = feasibility(t, clients, target)
+            edges = list(t.edges)
+            k = rng.randrange(len(edges))
+            u, v, c = edges[k]
+            edges[k] = (u, v, c + rng.randint(1, 3))
+            after = feasibility(NetworkTopology(t.nodes, tuple(edges)), clients, target)
+            assert after.feasible or not before.feasible
+            # row by row a cut can only grow, so the first violation comes no sooner
+            assert len(after.table) >= len(before.table)
+            for r, s in zip(before.table, after.table):
+                assert (s.a, s.required_rank) == (r.a, r.required_rank)
+                assert s.min_cut >= r.min_cut
+            verdicts[before.feasible, after.feasible] += 1
+        assert verdicts[True, True] >= 4 and verdicts[False, False] >= 2, verdicts

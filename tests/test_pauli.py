@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -386,6 +387,68 @@ class TestQubitCountHonoured:
             StabilizerGroup.from_strings(["XX", "ZZ", "-YY"])
 
 
+class TestConstructorIsTheReduction:
+    """``StabilizerGroup(n, ops)`` is the reduction: it keeps what the
+    all-pairs reference keeps and raises where it raises."""
+
+    def test_matches_reference_on_dependent_lists(self, rng):
+        outcomes = Counter()
+        for _ in range(240):
+            n = rng.randint(1, 9)
+            base = list(stabilizer_generators(random_graph(rng, n)).generators)
+            base = rng.sample(base, rng.randint(1, n))  # under full rank at times
+            ops = [g.negated() if rng.random() < 0.5 else g for g in base]
+            for _ in range(rng.randint(1, 2 * n)):
+                spanned = product([g for g in ops if rng.random() < 0.4], n)
+                # a fresh sign: the list generates -I when it differs
+                ops.append(spanned.negated() if rng.random() < 0.15 else spanned)
+            rng.shuffle(ops)
+            try:
+                kept = reference_contraction.reduce_generators(ops)
+            except MinusIdentityError:
+                with pytest.raises(MinusIdentityError, match="and the spanned product"):
+                    StabilizerGroup(n, tuple(ops))
+                outcomes["minus identity"] += 1
+                continue
+            group = StabilizerGroup(n, tuple(ops))
+            assert group.generators == tuple(kept)
+            assert group == reduce_generators(ops)
+            outcomes["kept"] += 1
+        assert outcomes["kept"] >= 60 and outcomes["minus identity"] >= 60, outcomes
+
+    def test_direct_construction_keeps_the_generated_group(self):
+        ops = tuple(parse_pauli(s) for s in ("+XX", "+ZZ", "-YY"))
+        assert StabilizerGroup(2, ops) == StabilizerGroup(2, ops[:2])
+        with pytest.raises(MinusIdentityError, match=r"^\+YY and the spanned product -YY differ by -1$"):
+            StabilizerGroup(2, ops[:2] + (parse_pauli("+YY"),))
+
+    def test_files_may_not_hold_dependent_generators(self):
+        with pytest.raises(ValueError, match=r"^generators: generators are GF\(2\)-dependent$"):
+            StabilizerGroup.from_strings(["+XX", "+ZZ", "-YY"])
+        with pytest.raises(MinusIdentityError, match=r"^generators: \+YY and the spanned product"):
+            StabilizerGroup.from_strings(["+XX", "+ZZ", "+YY"])
+
+    def test_one_elimination(self, monkeypatch):
+        # every row is added once, and no second rank pass runs
+        adds = []
+        original = gf2.Eliminator.add
+
+        def counting(self, row):
+            adds.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(gf2.Eliminator, "add", counting)
+        monkeypatch.setattr(gf2, "rank_packed", None)
+        ops = [parse_pauli(s) for s in ("XXI", "ZZI", "-YYI", "IIZ")]
+        assert len(reduce_generators(ops)) == 3
+        assert adds == [op.symplectic_row() for op in ops]
+
+    def test_library_callers_may_pass_tuples(self):
+        assert StabilizerGroup.from_strings(("XX", "ZZ")).to_strings() == ["+XX", "+ZZ"]
+        with pytest.raises(ValueError, match="^generators must be a list of Pauli strings, got 'XZ'$"):
+            StabilizerGroup.from_strings("XZ")
+
+
 def _permute_qubits(op, perm):
     def spread(bits):
         return sum(1 << perm[q] for q in gf2.set_bits(bits))
@@ -488,13 +551,16 @@ class TestCommutationCheckSelection:
             ops = _letter_group(rng, n, g, bits)
             with pytest.raises(AnticommutingGeneratorsError) as reference:
                 reference_contraction.reduce_generators(ops)
+            # the group checks only its kept generators (at most 2n < g here)
             with pytest.raises(AnticommutingGeneratorsError) as checked:
                 StabilizerGroup(n, tuple(ops))
             assert str(checked.value) == str(reference.value)
-        if side == "masks":
-            assert calls and set(calls) == {g}
-        else:
-            assert not calls
+            # the check itself, on all g generators, takes the side under test
+            calls.clear()
+            with pytest.raises(AnticommutingGeneratorsError) as direct:
+                pauli._check_commuting(ops, n)
+            assert str(direct.value) == str(reference.value)
+            assert calls == ([g] if side == "masks" else [])
 
     def test_anticommutation_before_signs_on_masks(self, monkeypatch):
         # +X..X and Z0Zj on 40 qubits, a sign-flipped product of them, then
