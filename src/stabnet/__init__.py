@@ -52,7 +52,6 @@ from .pauli import (
     PauliParseError,
     StabilizerGroup,
     parse_pauli,
-    reduce_generators,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -77,10 +77,10 @@ def _load_json(path: str, loader, what: str):
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
 
-def _a_mask(side: list, count: int) -> int:
+def _a_mask(side: list, count: int, field: str) -> int:
     """The A-side mask of a list of client indices, each an int in 0..count-1."""
     mask = 0
-    for i in side:
+    for i in require_type(side, list, field, "a list of client indices"):
         require_int(i, f"index {i!r}")
         if not 0 <= i < count:
             raise ValueError(f"index {i} is not a client index in 0..{count - 1}")
@@ -104,7 +104,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
         try:
             sides = require_type(sides, list, "bipartitions", "a list of index lists")
-            masks = [_a_mask(side, len(clients)) for side in sides]
+            masks = [_a_mask(side, len(clients), f"bipartitions[{k}]") for k, side in enumerate(sides)]
             if not masks:
                 raise ValueError("the list is empty, so nothing would be checked")
         except (TypeError, ValueError) as exc:

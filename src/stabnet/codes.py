@@ -11,6 +11,7 @@ built once per code: bit j of a letter's mask says that it anticommutes
 with generator j, a candidate's syndrome is the XOR of its letters' masks,
 and only a zero syndrome gets the membership solve.  The search refuses
 to start if the candidate count up to the cap would exceed the budget.
+The letters' syndromes and rows come from :func:`stabnet.pauli.letter_rows`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .contraction import (
     Status,
     contract,
 )
-from .pauli import StabilizerGroup, require_int, support_masks
+from .pauli import StabilizerGroup, letter_rows, require_int, require_type
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -68,7 +69,7 @@ class StabilizerCode:
 
     @classmethod
     def from_json(cls, text: str) -> StabilizerCode:
-        data = json.loads(text)
+        data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
         for name in ("n", "k", "distance"):
             if name in data:
                 require_int(data[name], name)
@@ -130,15 +131,7 @@ def distance(
         raise EnumerationBudgetError(
             f"{total} candidates up to weight {weight_cap} exceed the budget {budget}"
         )
-    # syndromes of X and of Z on each qubit: X anticommutes with the
-    # generators that have Z there, and Z with those that have X; Y = XZ
-    # has their XOR
-    sz, sx = support_masks(code.group.generators, n)
-    # letters[q]: (syndrome, symplectic row) of X, Y and Z on qubit q
-    letters = [
-        ((sx[q], 1 << q), (sx[q] ^ sz[q], (1 << q) | (1 << (q + n))), (sz[q], 1 << (q + n)))
-        for q in range(n)
-    ]
+    letters = letter_rows(code.group.generators, n)
     # syndrome -> (qubit, row) of every letter with that syndrome, highest
     # qubit first: the last letters that complete a zero-syndrome candidate
     closing: dict[int, list[tuple[int, int]]] = {}

@@ -16,11 +16,14 @@ generators than boundary qubits the result is a proper code space
 (status MIXED); with full-rank node states this only happens when the
 instance ignores the usual connectivity assumption.  A fully contracted
 instance takes the same path: its candidates are n = 0 scalars +-1, and
-its residual is the empty group on zero qubits.
+its residual is the empty group on zero qubits.  Each Bell convention is
+a letter pair, parsed once into a two-qubit group; Pauli bits and the row
+layout come from :mod:`stabnet.pauli`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,41 +35,40 @@ from .pauli import (
     PauliOperator,
     StabilizerGroup,
     product,
-    reduce_generators,
     require_int,
     require_type,
+    symplectic,
 )
 
 
 class BellConvention(Enum):
     """Which two-qubit state the contracted pairs are projected onto."""
 
-    PLUS_PAIR = "plus-pair"  # |00>+|11>: stabilizers +XX, +ZZ (group closes with -YY)
-    GRAPH_EDGE = "graph-edge"  # CZ|++>:   stabilizers +XZ, +ZX (group closes with +YY)
+    PLUS_PAIR = "plus-pair"  # |00>+|11>: the group closes with -YY
+    GRAPH_EDGE = "graph-edge"  # CZ|++>: the group closes with +YY
 
 
-_BELL_PATTERNS = {
-    # (x1, z1, x2, z2) per generator on the two paired qubits
-    BellConvention.PLUS_PAIR: ((1, 0, 1, 0), (0, 1, 0, 1)),
-    BellConvention.GRAPH_EDGE: ((1, 0, 0, 1), (0, 1, 1, 0)),
+_BELL_STABILIZERS = {
+    BellConvention.PLUS_PAIR: ("XX", "ZZ"),
+    BellConvention.GRAPH_EDGE: ("XZ", "ZX"),
 }
+
+
+@functools.cache
+def bell_group(convention: BellConvention) -> StabilizerGroup:
+    """The Bell pair itself as a two-qubit stabilizer group."""
+    return StabilizerGroup.from_strings(_BELL_STABILIZERS[convention])
 
 
 def bell_generators(
     i: int, j: int, n_total: int, convention: BellConvention
 ) -> list[PauliOperator]:
-    """The two Bell-pair generators on qubits (i, j), identity elsewhere."""
+    """The Bell group's two generators, its qubits 0 and 1 moved to i and j."""
     ops = []
-    for x1, z1, x2, z2 in _BELL_PATTERNS[convention]:
-        x = (x1 << i) | (x2 << j)
-        z = (z1 << i) | (z2 << j)
-        ops.append(PauliOperator(n_total, x, z, 0))
+    for g in bell_group(convention).generators:
+        x, z = g.x, g.z
+        ops.append(PauliOperator(n_total, (x & 1) << i | (x >> 1) << j, (z & 1) << i | (z >> 1) << j, g.phase))
     return ops
-
-
-def bell_group(convention: BellConvention) -> StabilizerGroup:
-    """The Bell pair itself as a two-qubit stabilizer group."""
-    return StabilizerGroup(2, tuple(bell_generators(0, 1, 2, convention)))
 
 
 class Status(Enum):
@@ -87,7 +89,8 @@ class ContractionInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_states", tuple(self.node_states))
-        object.__setattr__(self, "pairings", tuple(tuple(p) for p in self.pairings))
+        pairs = (require_type(p, (list, tuple), f"pairings[{k}]", "a qubit pair") for k, p in enumerate(self.pairings))
+        object.__setattr__(self, "pairings", tuple(map(tuple, pairs)))
         object.__setattr__(self, "offsets", tuple(self.offsets))
         for k, pair in enumerate(self.pairings):
             if len(pair) != 2:
@@ -104,20 +107,21 @@ class ContractionInstance:
             object.__setattr__(self, "offsets", tuple(accumulate(sizes, initial=0)))
         if len(self.offsets) != len(self.node_states):
             raise ValueError("one offset per node state required")
-        covered: set[int] = set()
-        for g, off in zip(self.node_states, self.offsets):
-            block = set(range(off, off + g.n))
-            if covered & block:
-                raise ValueError("node qubit blocks overlap")
-            covered |= block
-        if covered != set(range(self.total_qubits)):
+        # sorted by start, the non-empty blocks tile 0..total-1 when each one
+        # starts where the one before it stops: no set as wide as an offset
+        blocks = sorted((off, off + g.n) for g, off in zip(self.node_states, self.offsets) if g.n)
+        stops = [0] + [stop for _, stop in blocks]
+        if any(start < stop for (start, _), stop in zip(blocks[1:], stops[1:])):
+            raise ValueError("node qubit blocks overlap")
+        total = self.total_qubits
+        if any(start != stop for (start, _), stop in zip(blocks, stops)) or total > stops[-1]:
             raise ValueError("node blocks must cover qubits 0..total-1 exactly")
         seen: set[int] = set()
         for i, j in self.pairings:
             if i == j:
                 raise ValueError(f"pairing ({i}, {j}) repeats a qubit")
             for q in (i, j):
-                if q not in covered:
+                if not 0 <= q < total:
                     raise ValueError(f"paired qubit {q} does not exist")
                 if q in seen:
                     raise ValueError(f"qubit {q} appears in two pairings")
@@ -161,7 +165,7 @@ class ContractionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> ContractionInstance:
-        data = json.loads(text)
+        data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
         states = require_type(data["node_states"], list, "node_states", "a list of node states")
         nodes = tuple(
             StabilizerGroup.from_strings(strings, field=f"node_states[{k}]")
@@ -208,7 +212,7 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     ops = inst.all_generators()
 
     contracted = sum(1 << q for q in inst.contracted)
-    columns = contracted | contracted << n
+    columns = symplectic(contracted, contracted, n)
     kernel = gf2.left_kernel(op.symplectic_row() & columns for op in ops)
 
     bit_of = {q: 1 << k for k, q in enumerate(boundary)}
@@ -223,7 +227,7 @@ def contract(inst: ContractionInstance) -> ContractionResult:
 
     exponent = len(inst.contracted) - len(ops) + len(kernel)
     try:
-        residual = reduce_generators(candidates, n=len(boundary))
+        residual = StabilizerGroup(len(boundary), tuple(candidates))
     except MinusIdentityError:
         return ContractionResult(
             Status.ANNIHILATED, StabilizerGroup(len(boundary), ()), boundary, 0

@@ -30,9 +30,8 @@ class GraphState:
             raise ValueError("need at least one vertex")
         if len(self.rows) != self.n:
             raise ValueError("adjacency must have one row per vertex")
-        mask = (1 << self.n) - 1
         for a, row in enumerate(self.rows):
-            if row & ~mask:
+            if row >> self.n:  # a negative row shifts to -1
                 raise ValueError(f"row {a} extends beyond {self.n} vertices")
             if (row >> a) & 1:
                 raise ValueError(f"self-loop at vertex {a}")
@@ -96,13 +95,13 @@ class GraphState:
     @classmethod
     def from_json(cls, text: str) -> GraphState:
         """A graph file: ``n`` plus an ``edges`` list or a ``bits`` string."""
-        data = json.loads(text)
+        data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
         n = require_int(data["n"], "n")
         if "bits" in data:
             return cls.from_bitstring(n, require_type(data["bits"], str, "bits", "a string of 0s and 1s"))
         edges = []
         for k, edge in enumerate(require_type(data["edges"], list, "edges", "a list of vertex pairs")):
-            if len(edge) != 2:
+            if len(require_type(edge, list, f"edges[{k}]", "a vertex pair")) != 2:
                 raise ValueError(f"edges[{k}] has {len(edge)} entries, expected 2")
             edges.append(tuple(require_int(v, f"edges[{k}][{s}]") for s, v in enumerate(edge)))
         return cls.from_edges(n, edges)

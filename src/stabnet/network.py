@@ -135,7 +135,7 @@ class NetworkTopology:
 
     @classmethod
     def from_json(cls, text: str) -> NetworkTopology:
-        data = json.loads(text)
+        data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
         nodes, edges = (require_type(data[key], list, key, "a list of objects") for key in ("nodes", "edges"))
         for key, entries in (("nodes", nodes), ("edges", edges)):
             for k, d in enumerate(entries):

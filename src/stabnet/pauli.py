@@ -9,9 +9,12 @@ An n-qubit Pauli operator is two bit-packed integers ``x`` and ``z``
 
     (x_q, z_q): (0,0) -> I, (1,0) -> X, (0,1) -> Z, (1,1) -> Y,
 
-with Y the standard Pauli matrix.  The single sign convention used
-project-wide is ``Y = i * X * Z`` (equivalently ``X * Z = -i * Y``);
-:func:`product`, which ``*`` also calls, is the one place that applies it.
+with Y the standard Pauli matrix.  Only this module turns letters into
+bits: ``_BITS`` is the letter table, :func:`symplectic` the row layout,
+and :func:`letter_rows` the distance search's per-qubit X, Y and Z rows
+and syndromes.  The single sign convention used project-wide is ``Y = i
+* X * Z`` (equivalently ``X * Z = -i * Y``); :func:`product`, which ``*``
+also calls, is the one place that applies it.
 Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
 odd phases only occur in intermediate products.  ``n`` may be 0: a
 zero-qubit operator is the scalar ``i**phase``, and ``StabilizerGroup(0,
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 from . import gf2
 
-_LETTERS = {("0", "0"): "I", ("1", "0"): "X", ("0", "1"): "Z", ("1", "1"): "Y"}
 _BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_LETTERS = {(str(x), str(z)): letter for letter, (x, z) in _BITS.items()}  # _BITS read backwards
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -116,8 +119,7 @@ class PauliOperator:
         return PauliOperator(n_total, self.x << offset, self.z << offset, self.phase)
 
     def symplectic_row(self) -> int:
-        """Packed [x|z] row: columns 0..n-1 are x bits, n..2n-1 are z bits."""
-        return self.x | (self.z << self.n)
+        return symplectic(self.x, self.z, self.n)
 
     def to_string(self) -> str:
         # bit n pads each binary string to n digits; reversed and without
@@ -151,6 +153,25 @@ def parse_pauli(text: str, n: int | None = None) -> PauliOperator:
     if n is not None and count != n:
         raise PauliParseError(f"expected {n} letters, found {count}", len(text) - 1)
     return PauliOperator(count, x, z, phase)
+
+
+def symplectic(x: int, z: int, n: int) -> int:
+    """Packed [x|z] row of the x and z masks of n qubits: columns 0..n-1 are
+    x bits, n..2n-1 are z bits.  The one place that fixes the row layout."""
+    return x | z << n
+
+
+def letter_rows(gens: Sequence[PauliOperator], n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per qubit q, the (syndrome, symplectic row) of X, Y and Z on q, in
+    that order.  Bit j of a syndrome says the letter anticommutes with
+    ``gens[j]``, whose X part on q flips Z and Y and whose Z part X and Y."""
+    has_x, has_z = support_masks(gens, n)
+    # x, z and the row on qubit 0 of each letter; on qubit q its row is row << q
+    (x1, z1, r1), (x2, z2, r2), (x3, z3, r3) = ((x, z, symplectic(x, z, n)) for x, z in map(_BITS.get, "XYZ"))
+    return [
+        ((hz * x1 ^ hx * z1, r1 << q), (hz * x2 ^ hx * z2, r2 << q), (hz * x3 ^ hx * z3, r3 << q))
+        for q, (hx, hz) in enumerate(zip(has_x, has_z))
+    ]
 
 
 def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
@@ -261,7 +282,9 @@ class StabilizerGroup:
         try:
             for text in texts:
                 ops.append(parse_pauli(text, n))
-            group = cls(_qubit_count(ops, n), tuple(ops))
+            if n is None and not ops:
+                raise ValueError("empty generator list needs an explicit qubit count")
+            group = cls(ops[0].n if n is None else n, tuple(ops))
             if len(group) != len(ops):
                 raise ValueError("generators are GF(2)-dependent")
             return group
@@ -276,29 +299,10 @@ class StabilizerGroup:
     def to_strings(self) -> list[str]:
         return [g.to_string() for g in self.generators]
 
-    def symplectic_rows(self) -> list[int]:
-        return [g.symplectic_row() for g in self.generators]
-
     def eliminator(self) -> gf2.Eliminator:
         """Elimination state over the generators' symplectic rows."""
         elim = gf2.Eliminator()
-        for row in self.symplectic_rows():
-            elim.add(row)
+        for g in self.generators:
+            elim.add(g.symplectic_row())
         return elim
 
-
-def _qubit_count(ops: Sequence[PauliOperator], n: int | None) -> int:
-    if n is not None:
-        return n
-    if not ops:
-        raise ValueError("empty generator list needs an explicit qubit count")
-    return ops[0].n
-
-
-def reduce_generators(
-    ops: Iterable[PauliOperator], n: int | None = None
-) -> StabilizerGroup:
-    """The group ``ops`` generate, on ``n`` qubits (by default the first
-    op's count); see :class:`StabilizerGroup` for what it keeps and raises."""
-    ops = tuple(ops)
-    return StabilizerGroup(_qubit_count(ops, n), ops)

@@ -129,8 +129,8 @@ def test_criterion_2_nine_qubit_composition():
                 # member, with positive sign
                 assert all(s == "+" for s in signs)
                 assert groups_equal(comp.group, listed)
-                assert gf2.rank_packed(comp.group.symplectic_rows()) == 6
-                assert listed.symplectic_rows() == [pack_row(r) for r in H_MATRIX]
+                assert gf2.rank_packed(g.symplectic_row() for g in comp.group.generators) == 6
+                assert [g.symplectic_row() for g in listed.generators] == [pack_row(r) for r in H_MATRIX]
                 assert distance(comp, 4) == 3
                 assert singleton_max_distance(9, 3) == 4
                 assert storage_bound(9, 3, 5, 1, 3) == 4

@@ -607,6 +607,18 @@ class TestJsonTypes:
             ),
             pytest.param(
                 ["feasibility", "--topology", STAR, "--target"], "kite_target.json",
+                _set("edges", [5]),
+                "bad target graph: edges[0] must be a vertex pair, got 5",
+                id="graph-edge-entry",
+            ),
+            pytest.param(
+                ["contract", "--instance"], "swap_chain_instance.json",
+                _set("pairings", [[0, 3], 5]),
+                "bad contraction instance: pairings[1] must be a qubit pair, got 5",
+                id="pairings-entry",
+            ),
+            pytest.param(
+                ["feasibility", "--topology", STAR, "--target"], "kite_target.json",
                 _set("bits", 1, "edges"),
                 "bad target graph: bits must be a string of 0s and 1s, got 1",
                 id="graph-bits",
@@ -649,6 +661,41 @@ class TestJsonTypes:
         assert out == ""
         got = repr(json.loads(sides))
         assert err == f"error: {path}: bad bipartition list: bipartitions must be a list of index lists, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "sides, entry",
+        [
+            ("[5]", "bipartitions[0] must be a list of client indices, got 5"),
+            ('[[0], "01"]', "bipartitions[1] must be a list of client indices, got '01'"),
+        ],
+    )
+    def test_bipartition_entry(self, tmp_path, capsys, sides, entry):
+        path = tmp_path / "sides.json"
+        path.write_text(sides)
+        code, out, err = run(
+            capsys, "feasibility", "--topology", STAR, "--target", KITE, "--bipartitions", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: bad bipartition list: {entry}\n"
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["contract", "--instance"], "contraction instance"),
+            (["code", "compose"], "composition spec"),
+            (["code", "distance"], "code"),
+            (["feasibility", "--topology", STAR, "--target"], "target graph"),
+            (["metrics", "--topology"], "topology"),
+        ],
+    )
+    def test_file_must_hold_an_object(self, tmp_path, capsys, argv, what):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: bad {what}: the top-level value must be a JSON object, got [1]\n"
 
     def test_bad_role_names_its_entry(self, tmp_path, capsys):
         path = edited_fixture(tmp_path, "star_topology.json", lambda d: d["nodes"][1].update(role=0))

@@ -21,7 +21,7 @@ from stabnet.codes import (
     storage_bound,
 )
 from stabnet.contraction import BellConvention
-from stabnet.pauli import PauliOperator, StabilizerGroup, parse_pauli
+from stabnet.pauli import PauliOperator, StabilizerGroup, letter_rows, parse_pauli, support_masks
 
 TRIANGLE_PAIRINGS = ((3, 8), (9, 14), (13, 4))
 NINE_QUBIT = [
@@ -247,6 +247,22 @@ class TestDistance:
         )
         assert distance(code, 2) == reference.distance(code, 2) == 2
         assert distance(code, 1) is None
+
+    def test_letter_rows_keep_the_xyz_layout(self, rng):
+        # X, Y, Z on qubit q: the search walks the letters in this order
+        bell = StabilizerGroup.from_strings(["XX", "ZZ"]).generators
+        assert letter_rows(bell, 2) == [
+            ((0b10, 0b0001), (0b11, 0b0101), (0b01, 0b0100)),
+            ((0b10, 0b0010), (0b11, 0b1010), (0b01, 0b1000)),
+        ]
+        # the rows and syndromes distance spelled out before they moved
+        for n in (1, 5, 9, 15):
+            gens = [PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(n)]
+            sz, sx = support_masks(gens, n)
+            assert letter_rows(gens, n) == [
+                ((sx[q], 1 << q), (sx[q] ^ sz[q], (1 << q) | (1 << (q + n))), (sz[q], 1 << (q + n)))
+                for q in range(n)
+            ]
 
     def test_walk_is_not_bounded_by_recursion_limit(self):
         # prefixes are walked on an explicit stack: 2999 letters deep is

@@ -1,6 +1,8 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from stabnet.contraction import (
     BellConvention,
     ContractionInstance,
     Status,
+    bell_generators,
     bell_group,
     contract,
 )
@@ -54,6 +57,39 @@ class TestBellConventions:
             for e in oracle.group_elements(bell_group(conv)):
                 assert np.allclose(oracle.apply_pauli(v, e).amplitudes, v.amplitudes)
 
+    # (x1, z1, x2, z2) per generator on the paired qubits: the conventions'
+    # bits as they were spelled before they became letter pairs
+    BIT_PATTERNS = {
+        BellConvention.PLUS_PAIR: ((1, 0, 1, 0), (0, 1, 0, 1)),
+        BellConvention.GRAPH_EDGE: ((1, 0, 0, 1), (0, 1, 1, 0)),
+    }
+
+    @pytest.mark.parametrize("i, j, n", [(0, 1, 2), (1, 0, 2), (3, 7, 9), (8, 2, 9)])
+    def test_generators_keep_their_bit_patterns(self, i, j, n):
+        for conv, patterns in self.BIT_PATTERNS.items():
+            expected = [
+                PauliOperator(n, x1 << i | x2 << j, z1 << i | z2 << j) for x1, z1, x2, z2 in patterns
+            ]
+            assert bell_generators(i, j, n, conv) == expected
+
+    def test_each_group_is_built_once(self):
+        for conv in BellConvention:
+            assert bell_group(conv) is bell_group(conv)
+
+
+def _set_tiling_error(sizes, offsets):
+    """The message of the set-based block check that the sorted one
+    replaced: the first overlap, else a gap or a stray block, else None."""
+    covered = set()
+    for size, off in zip(sizes, offsets):
+        block = set(range(off, off + size))
+        if covered & block:
+            return "node qubit blocks overlap"
+        covered |= block
+    if covered != set(range(max(off + size for size, off in zip(sizes, offsets)))):
+        return "node blocks must cover qubits 0..total-1 exactly"
+    return None
+
 
 class TestInstanceValidation:
     def test_overlapping_pairings_rejected(self):
@@ -67,6 +103,36 @@ class TestInstanceValidation:
     def test_blocks_must_tile(self):
         with pytest.raises(ValueError):
             ContractionInstance((EPR, EPR), (), offsets=(0, 1))
+
+    def test_tiling_matches_the_set_check(self, rng):
+        groups = {k: StabilizerGroup(k, ()) for k in range(4)}
+        outcomes = Counter()
+        for _ in range(600):
+            sizes = [rng.randrange(4) for _ in range(rng.randint(1, 5))]
+            offsets = list(accumulate(sizes[:-1], initial=0))
+            for _ in range(rng.randrange(3)):  # a shifted, overlapping or negative block
+                offsets[rng.randrange(len(offsets))] += rng.randint(-3, 3)
+            expected = _set_tiling_error(sizes, offsets)
+            outcomes[expected] += 1
+            nodes = tuple(groups[k] for k in sizes)
+            if expected is None:
+                ContractionInstance(nodes, (), offsets=offsets)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    ContractionInstance(nodes, (), offsets=offsets)
+        assert min(outcomes.values()) >= 60, outcomes
+
+    def test_far_offset_checks_in_small_memory(self):
+        # the set-based check built a set of every qubit below the offset:
+        # 67 MB at 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^node blocks must cover qubits 0..total-1 exactly$"):
+                ContractionInstance((EPR,), (), offsets=(10**6,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_json_round_trip(self):
         inst = ContractionInstance((EPR, EPR), ((0, 2),), BellConvention.GRAPH_EDGE)

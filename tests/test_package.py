@@ -39,7 +39,6 @@ EXPORTS = [
     "network",
     "parse_pauli",
     "pauli",
-    "reduce_generators",
     "repetition_state",
     "singleton_max_distance",
     "stabilizer_generators",
@@ -51,4 +50,4 @@ EXPORTS = [
 
 def test_export_list_is_pinned():
     assert sorted(stabnet.__all__) == EXPORTS
-    assert len(EXPORTS) == 43
+    assert len(EXPORTS) == 42

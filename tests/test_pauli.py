@@ -19,7 +19,6 @@ from stabnet.pauli import (
     StabilizerGroup,
     parse_pauli,
     product,
-    reduce_generators,
 )
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
@@ -172,7 +171,7 @@ class TestGf2Rank:
 
     def test_nine_qubit_generators_give_that_matrix(self):
         group = StabilizerGroup.from_strings(NINE_QUBIT)
-        assert group.symplectic_rows() == [pack_row(r) for r in H_MATRIX]
+        assert [g.symplectic_row() for g in group.generators] == [pack_row(r) for r in H_MATRIX]
 
     def test_zero_rows(self):
         assert gf2.rank_packed(pack_row(r) for r in [[0] * 4, [0] * 4]) == 0
@@ -220,35 +219,35 @@ class TestContains:
 class TestReduceGenerators:
     def test_bell_group_with_redundant_element(self):
         ops = [parse_pauli(s) for s in ("XX", "ZZ", "-YY")]
-        group = reduce_generators(ops)
+        group = StabilizerGroup(2, tuple(ops))
         assert group.to_strings() == ["+XX", "+ZZ"]
 
     def test_nine_qubit_all_independent(self):
-        group = reduce_generators([parse_pauli(s) for s in NINE_QUBIT])
+        group = StabilizerGroup(9, tuple(parse_pauli(s) for s in NINE_QUBIT))
         assert len(group) == 6
 
     def test_duplicates_dropped(self):
         ops = [parse_pauli("XZZXI")] * 3
-        assert len(reduce_generators(ops)) == 1
+        assert len(StabilizerGroup(5, tuple(ops))) == 1
 
     def test_anticommuting_pair_rejected(self):
         with pytest.raises(AnticommutingGeneratorsError):
-            reduce_generators([parse_pauli("X"), parse_pauli("Z")])
+            StabilizerGroup(1, (parse_pauli("X"), parse_pauli("Z")))
 
     def test_minus_identity_flagged(self):
         # XX * ZZ = -YY, so +YY closes the group onto -I
         ops = [parse_pauli(s) for s in ("XX", "ZZ", "YY")]
         with pytest.raises(MinusIdentityError):
-            reduce_generators(ops)
+            StabilizerGroup(2, tuple(ops))
 
     def test_anticommutation_reported_before_signs(self):
         # -X repeats +X with the other sign, and Z anticommutes with both
         ops = [parse_pauli(s) for s in ("X", "-X", "Z")]
         with pytest.raises(AnticommutingGeneratorsError):
-            reduce_generators(ops)
+            StabilizerGroup(1, tuple(ops))
         ops = [parse_pauli(s) for s in ("XX", "-XX", "ZI")]
         with pytest.raises(AnticommutingGeneratorsError):
-            reduce_generators(ops)
+            StabilizerGroup(2, tuple(ops))
 
     def test_flipped_dependent_row(self, rng):
         # a product of several kept rows with its sign flipped closes onto -I;
@@ -257,9 +256,9 @@ class TestReduceGenerators:
         for _ in range(20):
             chosen = [g for g in base if rng.random() < 0.5] or base[:2]
             spanned = product(chosen, 9)
-            assert len(reduce_generators(base + [spanned])) == 6
+            assert len(StabilizerGroup(9, (*base, spanned))) == 6
             with pytest.raises(MinusIdentityError):
-                reduce_generators(base + [spanned.negated()])
+                StabilizerGroup(9, (*base, spanned.negated()))
 
     def test_size_equals_symplectic_rank(self, rng):
         base = StabilizerGroup.from_strings(FIVE_QUBIT).generators
@@ -270,7 +269,7 @@ class TestReduceGenerators:
                     (rng.randrange(4), rng.randrange(4)) for _ in range(5)
                 )
             ]
-            group = reduce_generators(ops, n=5)
+            group = StabilizerGroup(5, tuple(ops))
             rows = [op.symplectic_row() for op in ops]
             assert len(group) == gf2.rank_packed(rows)
 
@@ -356,25 +355,25 @@ class TestZeroQubits:
     def test_plus_one_is_dropped_and_minus_one_annihilates(self):
         # the same as +II and -II among two-qubit generators
         plus, minus = PauliOperator(0, 0, 0), PauliOperator(0, 0, 0, 2)
-        assert reduce_generators([plus, plus], n=0) == StabilizerGroup(0, ())
+        assert StabilizerGroup(0, (plus, plus)) == StabilizerGroup(0, ())
         with pytest.raises(MinusIdentityError):
-            reduce_generators([plus, minus], n=0)
+            StabilizerGroup(0, (plus, minus))
         with pytest.raises(MinusIdentityError):
-            reduce_generators([minus])
-        ops = [parse_pauli(s) for s in ("XX", "II", "ZZ", "-II")]
-        assert reduce_generators(ops[:3]).to_strings() == ["+XX", "+ZZ"]
+            StabilizerGroup(0, (minus,))
+        ops = tuple(parse_pauli(s) for s in ("XX", "II", "ZZ", "-II"))
+        assert StabilizerGroup(2, ops[:3]).to_strings() == ["+XX", "+ZZ"]
         with pytest.raises(MinusIdentityError):
-            reduce_generators(ops)
+            StabilizerGroup(2, ops)
 
 
 class TestQubitCountHonoured:
-    def test_reduce_generators_checks_a_given_count(self):
+    def test_constructor_checks_its_count(self):
         with pytest.raises(ValueError, match="qubit counts differ: 3 vs 2"):
-            reduce_generators([parse_pauli("XXX")], n=2)
-        assert reduce_generators([parse_pauli("XXX")], n=3).n == 3
-        assert reduce_generators([], n=4) == StabilizerGroup(4, ())
-        with pytest.raises(ValueError, match="explicit qubit count"):
-            reduce_generators([])
+            StabilizerGroup(2, (parse_pauli("XXX"),))
+        assert StabilizerGroup(3, (parse_pauli("XXX"),)).n == 3
+        assert StabilizerGroup.from_strings([], n=4) == StabilizerGroup(4, ())
+        with pytest.raises(ValueError, match="^generators: empty generator list needs an explicit qubit count$"):
+            StabilizerGroup.from_strings([])
 
     def test_from_strings_names_the_bad_entry(self):
         with pytest.raises(ValueError, match=r"^generators\[1\]: invalid character 'Q'"):
@@ -412,7 +411,7 @@ class TestConstructorIsTheReduction:
                 continue
             group = StabilizerGroup(n, tuple(ops))
             assert group.generators == tuple(kept)
-            assert group == reduce_generators(ops)
+            assert StabilizerGroup(n, group.generators) == group
             outcomes["kept"] += 1
         assert outcomes["kept"] >= 60 and outcomes["minus identity"] >= 60, outcomes
 
@@ -440,7 +439,7 @@ class TestConstructorIsTheReduction:
         monkeypatch.setattr(gf2.Eliminator, "add", counting)
         monkeypatch.setattr(gf2, "rank_packed", None)
         ops = [parse_pauli(s) for s in ("XXI", "ZZI", "-YYI", "IIZ")]
-        assert len(reduce_generators(ops)) == 3
+        assert len(StabilizerGroup(3, tuple(ops))) == 3
         assert adds == [op.symplectic_row() for op in ops]
 
     def test_library_callers_may_pass_tuples(self):
@@ -483,8 +482,8 @@ class TestReduceGeneratorsColumnOrder:
             rng.shuffle(perm)
             permuted = [_permute_qubits(op, perm) for op in ops]
             expected = [_permute_qubits(op, perm).to_string() for op in kept]
-            assert reduce_generators(ops).to_strings() == [op.to_string() for op in kept]
-            assert reduce_generators(permuted).to_strings() == expected
+            assert StabilizerGroup(n, tuple(ops)).to_strings() == [op.to_string() for op in kept]
+            assert StabilizerGroup(n, tuple(permuted)).to_strings() == expected
             # flip one dependent row: the same row, with the same witness, is named
             dependent = [i for i, op in enumerate(ops) if op not in kept]
             if not dependent:
@@ -492,9 +491,9 @@ class TestReduceGeneratorsColumnOrder:
             i = rng.choice(dependent)
             flipped = ops[:i] + [ops[i].negated()] + ops[i + 1 :]
             with pytest.raises(MinusIdentityError) as plain:
-                reduce_generators(flipped)
+                StabilizerGroup(n, tuple(flipped))
             with pytest.raises(MinusIdentityError) as relabelled:
-                reduce_generators([_permute_qubits(op, perm) for op in flipped])
+                StabilizerGroup(n, tuple(_permute_qubits(op, perm) for op in flipped))
             assert str(relabelled.value) == _permute_strings(str(plain.value), perm)
 
 
@@ -570,10 +569,10 @@ class TestCommutationCheckSelection:
         ops = ghz + [product(ghz[:3], n).negated(), parse_pauli("Z" + "I" * (n - 1))]
         calls = self._mask_calls(monkeypatch)
         with pytest.raises(AnticommutingGeneratorsError, match=r"\+X{40} and \+ZI{39}"):
-            reduce_generators(ops)
+            StabilizerGroup(n, tuple(ops))
         assert calls == [n + 1]  # the 40 kept rows and Z0
         with pytest.raises(MinusIdentityError):
-            reduce_generators(ops[:-1])
+            StabilizerGroup(n, tuple(ops[:-1]))
 
     def test_large_commuting_groups_pass_on_both_sides(self, monkeypatch, rng):
         sparse = repetition_state(300).generators
