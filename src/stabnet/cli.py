@@ -8,18 +8,17 @@ are byte-identical; exit codes are 0 for success or an affirmative
 verdict, 1 for a negative verdict, 2 for usage or input errors and 3 for
 an internal error (a bug, never a verdict).
 
-File formats are documented in FORMATS.md at the repository root.  The
-distance enumeration budget is ``--budget`` when given, else the
-environment variable ``STABNET_DISTANCE_BUDGET``, else
-``codes.DEFAULT_ENUMERATION_BUDGET``.
+File formats are documented in FORMATS.md at the repository root.  Every
+setting is a command-line option, declared once and applied in one place;
+no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -73,7 +72,7 @@ def _load_json(path: str, loader, what: str):
         return loader(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
 
@@ -90,15 +89,18 @@ def _a_mask(side: list, count: int, field: str) -> int:
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
-    target = _load_json(args.target, GraphState.from_json, "target graph")
-    clients = args.clients.split(",") if args.clients else list(topology.clients)
+    clients = list(topology.clients) if args.clients is None else args.clients.split(",")
     try:
         check_clients(topology, clients)
     except ValueError as exc:
         raise CliError(f"--clients: {exc}") from exc
-    if len(clients) != target.n:  # client i holds target vertex i
-        source = "--clients names" if args.clients else f"--clients is not given and {args.topology} has"
-        raise CliError(f"{args.target}: n is {target.n}, but {source} {len(clients)} clients")
+
+    def check_n(n: int) -> None:  # client i holds target vertex i
+        if n != len(clients):
+            source = "--clients names" if args.clients is not None else f"--clients is not given and {args.topology} has"
+            raise CliError(f"{args.target}: n is {n}, but {source} {len(clients)} clients")
+
+    target = _load_json(args.target, functools.partial(GraphState.from_json, check_n=check_n), "target graph")
     masks = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
@@ -114,13 +116,14 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
+def _load_instance(path: str, what: str, convention: str | None) -> ContractionInstance:
+    """An instance file, its convention replaced by ``--convention`` when given."""
+    inst = _load_json(path, ContractionInstance.from_json, what)
+    return inst if convention is None else dataclasses.replace(inst, convention=convention)
+
+
 def cmd_contract(args: argparse.Namespace) -> int:
-    inst = _load_json(args.instance, ContractionInstance.from_json, "contraction instance")
-    if args.convention is not None:
-        inst = ContractionInstance(
-            inst.node_states, inst.pairings, BellConvention(args.convention), inst.offsets
-        )
-    result = contract(inst)
+    result = contract(_load_instance(args.instance, "contraction instance", args.convention))
     _emit(_dump(result.as_dict()), args.out)
     return EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
 
@@ -128,15 +131,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
     if args.weight_cap < 1:
         raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
-    # an explicit --budget wins over the environment, which wins over the default
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("STABNET_DISTANCE_BUDGET")
-        try:
-            budget = DEFAULT_ENUMERATION_BUDGET if env is None else int(env)
-        except ValueError as exc:
-            raise CliError(f"STABNET_DISTANCE_BUDGET: {exc}") from None
-    return distance(code, args.weight_cap, budget=budget)
+    return distance(code, args.weight_cap, budget=args.budget)
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -155,19 +150,18 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def cmd_compose(args: argparse.Namespace) -> int:
     # composition specs are contraction instances whose node states are the
     # codes' generator lists; compose keeps their qubit indices in offset order
-    inst = _load_json(args.spec, ContractionInstance.from_json, "composition spec")
-    convention = BellConvention(args.convention) if args.convention else inst.convention
+    inst = _load_instance(args.spec, "composition spec", args.convention)
     placed = sorted(zip(inst.offsets, inst.node_states), key=lambda pair: pair[0])
     codes = [StabilizerCode(group) for _, group in placed]
     try:
-        composed = compose(codes, inst.pairings, convention)
+        composed = compose(codes, inst.pairings, inst.convention)
     except CompositionError as exc:
         _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
         return EXIT_NEGATIVE
     if args.distance:
         composed = composed.with_distance(_distance(composed, args))
     payload = composed.as_dict()
-    payload["convention"] = convention.value
+    payload["convention"] = inst.convention.value
     _emit(_dump(payload), args.out)
     return EXIT_OK
 
@@ -209,7 +203,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if args.center is not None and args.center not in topology.node_ids:
             raise CliError(f"--center: {args.center!r} is not a node of {args.topology}")
         for scheme in (Scheme.LQC, Scheme.EPR):
-            channels = channel_count(topology, scheme, center=args.center)
+            try:
+                channels = channel_count(topology, scheme, center=args.center)
+            except ValueError as exc:
+                raise CliError(f"{args.topology}: {exc}") from exc
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
     elif args.center is not None:
         raise CliError("--center needs --topology")
@@ -241,7 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("feasibility", help="min-cut vs entanglement-rank test")
+    # options shared by several subcommands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path instead of stdout")
+    convention = argparse.ArgumentParser(add_help=False)
+    convention.add_argument(
+        "--convention", choices=[c.value for c in BellConvention], help="Bell convention, in place of the file's"
+    )
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--weight-cap", type=int, default=5, help="largest weight searched (default: %(default)s)")
+    search.add_argument(
+        "--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET, help="distance candidate budget (default: %(default)s)"
+    )
+
+    p = sub.add_parser("feasibility", parents=[out], help="min-cut vs entanglement-rank test")
     p.add_argument("--topology", required=True, help="topology JSON file")
     p.add_argument("--target", required=True, help="target graph JSON file")
     p.add_argument("--clients", help="comma-separated client ids (default: all clients in node order)")
@@ -251,54 +261,38 @@ def build_parser() -> argparse.ArgumentParser:
         f"{DEFAULT_MAX_CLIENTS} clients, where the exhaustive sweep stops",
     )
     p.add_argument("--compact", action="store_true", help="single-line JSON output")
-    p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=cmd_feasibility)
 
-    p = sub.add_parser("contract", help="contract a stabilizer instance")
+    p = sub.add_parser("contract", parents=[out, convention], help="contract a stabilizer instance")
     p.add_argument("--instance", required=True, help="instance JSON file")
-    p.add_argument("--convention", choices=[c.value for c in BellConvention])
-    p.add_argument("--out")
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("code", help="stabilizer code operations")
     code_sub = p.add_subparsers(dest="code_command", required=True)
 
-    budget_help = (
-        "distance candidate budget (default: $STABNET_DISTANCE_BUDGET, "
-        f"else {DEFAULT_ENUMERATION_BUDGET})"
-    )
-    pc = code_sub.add_parser("distance", help="brute-force distance")
+    pc = code_sub.add_parser("distance", parents=[out, search], help="brute-force distance")
     pc.add_argument("code", help="code JSON file")
-    pc.add_argument("--weight-cap", type=int, default=5)
-    pc.add_argument("--budget", type=int, help=budget_help)
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_distance)
 
-    pc = code_sub.add_parser("compose", help="compose codes by Bell contraction")
+    pc = code_sub.add_parser("compose", parents=[out, convention, search], help="compose codes by Bell contraction")
     pc.add_argument("spec", help="composition spec JSON file")
-    pc.add_argument("--convention", choices=[c.value for c in BellConvention])
     pc.add_argument("--distance", action="store_true", help="also compute the distance")
-    pc.add_argument("--weight-cap", type=int, default=5)
-    pc.add_argument("--budget", type=int, help=budget_help)
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_compose)
 
-    pc = code_sub.add_parser("bounds", help="singleton and storage bounds")
+    pc = code_sub.add_parser("bounds", parents=[out], help="singleton and storage bounds")
     pc.add_argument("--boundary", "--B", dest="boundary", type=int, required=True)
     pc.add_argument("--m", type=int, required=True, help="number of composed codes")
     pc.add_argument("--l", type=int, required=True, help="physical qubits per code")
     pc.add_argument("--k", type=int, required=True, help="logical qubits per code")
     pc.add_argument("--d", type=int, required=True, help="distance per code")
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("metrics", help="comparison sweeps as CSV")
+    p = sub.add_parser("metrics", parents=[out], help="comparison sweeps as CSV")
     p.add_argument("--n", help="connectivity value or range, e.g. 3 or 2..4")
     p.add_argument("--p", help="depth value or range, e.g. 1..6")
     p.add_argument("--noise", type=float, help="per-channel failure probability")
     p.add_argument("--topology", help="channel counts from a topology file instead of a tree spec")
     p.add_argument("--center", help="EPR central node id (default: best relay)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_metrics)
 
     return parser

@@ -27,7 +27,7 @@ from .contraction import (
     Status,
     contract,
 )
-from .pauli import StabilizerGroup, letter_rows, require_int, require_type
+from .pauli import StabilizerGroup, letter_rows, require_int, require_key, require_type
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -73,7 +73,7 @@ class StabilizerCode:
         for name in ("n", "k", "distance"):
             if name in data:
                 require_int(data[name], name)
-        group = StabilizerGroup.from_strings(data["generators"], n=data.get("n"))
+        group = StabilizerGroup.from_strings(require_key(data, "generators"), n=data.get("n"))
         if "k" in data and data["k"] != group.n - len(group.generators):
             raise ValueError(
                 f"stated k={data['k']} but {len(group.generators)} generators "

@@ -36,6 +36,7 @@ from .pauli import (
     StabilizerGroup,
     product,
     require_int,
+    require_key,
     require_type,
     symplectic,
 )
@@ -166,14 +167,14 @@ class ContractionInstance:
     @classmethod
     def from_json(cls, text: str) -> ContractionInstance:
         data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
-        states = require_type(data["node_states"], list, "node_states", "a list of node states")
+        states = require_type(require_key(data, "node_states"), list, "node_states", "a list of node states")
         nodes = tuple(
             StabilizerGroup.from_strings(strings, field=f"node_states[{k}]")
             for k, strings in enumerate(states)
         )
         return cls(
             node_states=nodes,
-            pairings=require_type(data["pairings"], list, "pairings", "a list of qubit pairs"),
+            pairings=require_type(require_key(data, "pairings"), list, "pairings", "a list of qubit pairs"),
             convention=BellConvention(data.get("convention", "plus-pair")),
             offsets=require_type(data.get("qubit_offsets", []), list, "qubit_offsets", "a list of integers"),
         )

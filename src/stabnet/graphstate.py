@@ -13,11 +13,11 @@ stabilizer group's rank): the feasibility sweep's one cut rank.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from . import gf2
-from .pauli import PauliOperator, StabilizerGroup, require_int, require_type
+from .pauli import PauliOperator, StabilizerGroup, require_int, require_key, require_type
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,19 @@ class GraphState:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges()]})
 
     @classmethod
-    def from_json(cls, text: str) -> GraphState:
-        """A graph file: ``n`` plus an ``edges`` list or a ``bits`` string."""
+    def from_json(cls, text: str, check_n: Callable[[int], object] | None = None) -> GraphState:
+        """A graph file: ``n`` plus an ``edges`` list or a ``bits`` string.
+
+        ``check_n`` sees ``n`` as soon as it is read, before any row is
+        allocated, and raises to refuse the file."""
         data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
-        n = require_int(data["n"], "n")
+        n = require_int(require_key(data, "n"), "n")
+        if check_n is not None:
+            check_n(n)
         if "bits" in data:
             return cls.from_bitstring(n, require_type(data["bits"], str, "bits", "a string of 0s and 1s"))
         edges = []
-        for k, edge in enumerate(require_type(data["edges"], list, "edges", "a list of vertex pairs")):
+        for k, edge in enumerate(require_type(require_key(data, "edges"), list, "edges", "a list of vertex pairs")):
             if len(require_type(edge, list, f"edges[{k}]", "a vertex pair")) != 2:
                 raise ValueError(f"edges[{k}] has {len(edge)} entries, expected 2")
             edges.append(tuple(require_int(v, f"edges[{k}][{s}]") for s, v in enumerate(edge)))

@@ -33,7 +33,7 @@ from functools import cached_property
 from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
 from .graphstate import GraphState, bipartitions, entanglement_rank, require_bipartition
-from .pauli import PauliOperator, StabilizerGroup, require_int, require_type
+from .pauli import PauliOperator, StabilizerGroup, require_int, require_key, require_type
 
 DEFAULT_MAX_CLIENTS = 20
 
@@ -136,13 +136,18 @@ class NetworkTopology:
     @classmethod
     def from_json(cls, text: str) -> NetworkTopology:
         data = require_type(json.loads(text), dict, "the top-level value", "a JSON object")
-        nodes, edges = (require_type(data[key], list, key, "a list of objects") for key in ("nodes", "edges"))
+        nodes, edges = (require_type(require_key(data, key), list, key, "a list of objects") for key in ("nodes", "edges"))
         for key, entries in (("nodes", nodes), ("edges", edges)):
             for k, d in enumerate(entries):
                 require_type(d, dict, f"{key}[{k}]", "an object")
         return cls(
-            nodes=tuple((d["id"], d["role"]) for d in nodes),
-            edges=tuple((d["u"], d["v"], d.get("channels", 1)) for d in edges),
+            nodes=tuple(
+                (require_key(d, "id", f"nodes[{k}]"), require_key(d, "role", f"nodes[{k}]")) for k, d in enumerate(nodes)
+            ),
+            edges=tuple(
+                (require_key(d, "u", f"edges[{k}]"), require_key(d, "v", f"edges[{k}]"), d.get("channels", 1))
+                for k, d in enumerate(edges)
+            ),
         )
 
 

@@ -79,6 +79,14 @@ def require_type(value: object, kind: type | tuple[type, ...], field: str, what:
     return value
 
 
+def require_key(data: dict, key: str, parent: str = ""):
+    """``data[key]``; a missing key names its entry (``nodes[0].role is
+    missing``), never a bare ``KeyError``."""
+    if key not in data:
+        raise ValueError(f"{parent}.{key} is missing" if parent else f"{key} is missing")
+    return data[key]
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A signed Pauli string on ``n`` qubits."""
@@ -277,7 +285,8 @@ class StabilizerGroup:
         cls, texts: Sequence[str], n: int | None = None, field: str = "generators"
     ) -> StabilizerGroup:
         """Errors name ``field``, and ``field[i]`` for a bad string ``i``."""
-        require_type(texts, (list, tuple), field, "a list of Pauli strings")
+        for i, text in enumerate(require_type(texts, (list, tuple), field, "a list of Pauli strings")):
+            require_type(text, str, f"{field}[{i}]", "a Pauli string")
         ops: list[PauliOperator] = []
         try:
             for text in texts:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from stabnet.cli import build_parser, main
+from stabnet.codes import DEFAULT_ENUMERATION_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -155,6 +157,8 @@ class TestFeasibilityCommand:
         [
             ("c0,c0,c1,c2,c3", "--clients: client 'c0' is listed twice"),
             ("zz,c0,c1,c2,c3", "--clients: 'zz' is not a client node"),
+            # an empty list used to read as "not given": a sweep over every client
+            ("", "--clients: '' is not a client node"),
         ],
     )
     def test_bad_clients_name_the_option(self, capsys, clients, message):
@@ -183,6 +187,25 @@ class TestFeasibilityCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {target}: n is 4, but {source.format(topology=topology)}\n"
+
+    @pytest.mark.parametrize(
+        "text", ['{"n": 3000000, "edges": []}', '{"n": 3000000, "edges": 5}', '{"bits": "", "n": 3000000}']
+    )
+    def test_target_size_checked_before_the_graph_is_built(self, tmp_path, capsys, text):
+        # n is compared with the client count as soon as it is read: these
+        # 30 bytes used to allocate and check three million rows first
+        path, topology = tmp_path / "huge.json", fixture("star_topology.json")
+        path.write_text(text)
+        build_parser()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "feasibility", "--topology", topology, "--target", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: n is 3000000, but --clients is not given and {topology} has 5 clients\n"
+        assert peak < 1_000_000
 
     def test_max_clients_option_is_gone(self, capsys):
         # the sweep cap is fixed: a larger one only starts a sweep whose table
@@ -237,6 +260,17 @@ class TestContractCommand:
         )
         assert code == 0
         assert json.loads(out)["status"] == "PURE"
+
+    @pytest.mark.parametrize("convention", ["plus-pair", "graph-edge"])
+    def test_convention_applies_alike_to_compose(self, capsys, convention):
+        spec = fixture("triangle_composition.json")
+        code, out, _ = run(capsys, "contract", "--instance", spec, "--convention", convention)
+        assert code == 0
+        residual = json.loads(out)["residual"]
+        code, out, _ = run(capsys, "code", "compose", spec, "--convention", convention)
+        assert code == 0
+        composed = json.loads(out)
+        assert (composed["convention"], composed["generators"]) == (convention, residual)
 
     def test_triangle_instance_prints_six_generators(self, capsys):
         code, out, _ = run(
@@ -309,13 +343,21 @@ class TestCodeCommand:
         assert composed["n"] == len(residual["boundary"]) == 2
         assert composed["k"] == 0
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("STABNET_DISTANCE_BUDGET", "10")
-        code, _, err = run(
-            capsys, "code", "distance", fixture("five_qubit_code.json")
-        )
-        assert code == 2
-        assert "budget" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", fixture("five_qubit_code.json")],
+            ["compose", fixture("triangle_composition.json"), "--distance"],
+        ],
+    )
+    @pytest.mark.parametrize("env", ["10", "abc"])
+    def test_budget_variable_is_not_read(self, capsys, monkeypatch, argv, env):
+        # the budget has one source, --budget: the old variable neither
+        # refuses the search nor fails to parse
+        monkeypatch.setenv("STABNET_DISTANCE_BUDGET", env)
+        code, out, err = run(capsys, "code", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["distance"] == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -326,7 +368,6 @@ class TestCodeCommand:
     )
     @pytest.mark.parametrize("env", ["10", "abc"])
     def test_budget_flag_wins_over_env(self, capsys, monkeypatch, argv, env):
-        # flag, then STABNET_DISTANCE_BUDGET, then the default
         monkeypatch.setenv("STABNET_DISTANCE_BUDGET", env)
         code, out, err = run(capsys, "code", *argv, "--budget", "1000000")
         assert (code, err) == (0, "")
@@ -339,25 +380,10 @@ class TestCodeCommand:
             ["compose", fixture("triangle_composition.json"), "--distance"],
         ],
     )
-    def test_budget_flag_refuses_without_env(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("STABNET_DISTANCE_BUDGET", raising=False)
+    def test_budget_flag_refuses_without_env(self, capsys, argv):
         code, out, err = run(capsys, "code", *argv, "--budget", "10")
         assert (code, out) == (2, "")
         assert "exceed the budget 10" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["distance", fixture("five_qubit_code.json")],
-            ["compose", fixture("triangle_composition.json"), "--distance"],
-        ],
-    )
-    def test_bad_budget_env_names_the_variable(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("STABNET_DISTANCE_BUDGET", "abc")
-        code, out, err = run(capsys, "code", *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: STABNET_DISTANCE_BUDGET: ")
-        assert "'abc'" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -437,6 +463,13 @@ class TestMetricsCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: --center: 'r9' is not a node of {topology}\n"
+
+    def test_unreachable_client_names_the_topology(self, tmp_path, capsys):
+        # the channel count has no value then; the message used to name no file
+        topology = edited_fixture(tmp_path, "star_topology.json", lambda d: d["edges"].pop(0))
+        code, out, err = run(capsys, "metrics", "--topology", topology)
+        assert (code, out) == (2, "")
+        assert err == f"error: {topology}: clients unreachable from 'hub': ['c0']\n"
 
 
 class TestNumericFields:
@@ -582,6 +615,19 @@ class TestJsonTypes:
                 id="node_states-entry",
             ),
             pytest.param(
+                # used to exit 3 on 'int' object has no attribute 'startswith'
+                ["contract", "--instance"], "swap_chain_instance.json",
+                lambda d: d["node_states"][1].__setitem__(0, 5),
+                "bad contraction instance: node_states[1][0] must be a Pauli string, got 5",
+                id="node_states-string",
+            ),
+            pytest.param(
+                ["code", "distance"], "five_qubit_code.json",
+                lambda d: d["generators"].__setitem__(2, ["X"]),
+                "bad code: generators[2] must be a Pauli string, got ['X']",
+                id="generators-string",
+            ),
+            pytest.param(
                 ["contract", "--instance"], "swap_chain_instance.json",
                 _set("pairings", "02"),
                 "bad contraction instance: pairings must be a list of qubit pairs, got '02'",
@@ -705,6 +751,53 @@ class TestJsonTypes:
         assert err == f'error: {path}: bad topology: nodes[1].role must be "relay" or "client", got 0\n'
 
 
+class TestMissingKeys:
+    """A required key that is absent exits 2 naming the entry, in the style
+    of a wrong type, never as a bare KeyError such as ``'edges'``."""
+
+    TARGET = (["feasibility", "--topology", STAR, "--target"], "kite_target.json", "target graph")
+    TOPOLOGY = (["metrics", "--topology"], "star_topology.json", "topology")
+    INSTANCE = (["contract", "--instance"], "swap_chain_instance.json", "contraction instance")
+    SPEC = (["code", "compose"], "swap_chain_instance.json", "composition spec")
+    CODE = (["code", "distance"], "five_qubit_code.json", "code")
+
+    @pytest.mark.parametrize(
+        "command, edit, entry",
+        [
+            (TARGET, lambda d: d.pop("n"), "n"),
+            (TARGET, lambda d: d.pop("edges"), "edges"),
+            (TOPOLOGY, lambda d: d.pop("nodes"), "nodes"),
+            (TOPOLOGY, lambda d: d.pop("edges"), "edges"),
+            (TOPOLOGY, lambda d: d["nodes"][0].pop("id"), "nodes[0].id"),
+            (TOPOLOGY, lambda d: d["nodes"][0].pop("role"), "nodes[0].role"),
+            (TOPOLOGY, lambda d: d["edges"][2].pop("u"), "edges[2].u"),
+            (TOPOLOGY, lambda d: d["edges"][2].pop("v"), "edges[2].v"),
+            (INSTANCE, lambda d: d.pop("node_states"), "node_states"),
+            (INSTANCE, lambda d: d.pop("pairings"), "pairings"),
+            (SPEC, lambda d: d.pop("node_states"), "node_states"),
+            (SPEC, lambda d: d.pop("pairings"), "pairings"),
+            (CODE, lambda d: d.pop("generators"), "generators"),
+        ],
+    )
+    def test_missing_key_names_its_entry(self, tmp_path, capsys, command, edit, entry):
+        argv, name, what = command
+        path = edited_fixture(tmp_path, name, edit)
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad {what}: {entry} is missing\n"
+
+    def test_optional_keys_may_be_missing(self, tmp_path, capsys):
+        # channels, qubit_offsets, convention, n and k have defaults
+        topology = edited_fixture(tmp_path, "star_topology.json", lambda d: d["edges"][0].pop("channels"))
+        assert run(capsys, "metrics", "--topology", topology)[0] == 0
+        instance = edited_fixture(
+            tmp_path, "swap_chain_instance.json", lambda d: (d.pop("qubit_offsets"), d.pop("convention"))
+        )
+        assert run(capsys, "contract", "--instance", instance)[0] == 0
+        code = edited_fixture(tmp_path, "five_qubit_code.json", lambda d: (d.pop("n"), d.pop("k")))
+        assert run(capsys, "code", "distance", code)[0] == 0
+
+
 class TestParser:
     def test_built_once_and_reused(self, capsys):
         # a good command, two bad ones (a parse error and an input error),
@@ -721,6 +814,21 @@ class TestParser:
         code, again, _ = run(capsys, *good)
         assert (code, again) == (0, first)
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["feasibility"], ["contract"], ["code", "distance"], ["code", "compose"], ["code", "bounds"], ["metrics"],
+        ],
+    )
+    def test_shared_options_read_alike_everywhere(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "write output to this path instead of stdout" in " ".join(capsys.readouterr().out.split())
+        if argv[-1] in ("distance", "compose"):
+            args = build_parser().parse_args([*argv, "f.json"])
+            assert (args.weight_cap, args.budget) == (5, DEFAULT_ENUMERATION_BUDGET)
 
     def test_code_needs_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,102 @@
+"""Fuzz the CLI's file inputs with mutated fixtures.
+
+Each fixture is read as JSON, mutated once (a key or entry dropped, a value
+swapped for one of another type or for a huge or negative integer, or the
+text truncated) and fed to every command that reads it.  Whatever the
+mutation, the command exits 0, 1 or 2: never 3, which is a bug, and never
+with a traceback.  An exit 2 names the mutated file on stderr.  Runs are
+derandomized, so every run tries the same inputs.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stabnet.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+STAR, KITE = str(FIXTURES / "star_topology.json"), str(FIXTURES / "kite_target.json")
+BOTTLENECK, CYCLE = str(FIXTURES / "bottleneck_topology.json"), str(FIXTURES / "cycle_target.json")
+
+# the commands that read each fixture; None stands for the mutated file
+COMMANDS = {
+    "star_topology.json": [["feasibility", "--topology", None, "--target", KITE], ["metrics", "--topology", None]],
+    "bottleneck_topology.json": [["feasibility", "--topology", None, "--target", CYCLE]],
+    "tree_depth2_topology.json": [["metrics", "--topology", None]],
+    "cycle_target.json": [["feasibility", "--topology", BOTTLENECK, "--target", None]],
+    "ghz_target.json": [["feasibility", "--topology", STAR, "--target", None]],
+    "kite_target.json": [["feasibility", "--topology", STAR, "--target", None, "--compact"]],
+    "annihilating_instance.json": [["contract", "--instance", None], ["code", "compose", None]],
+    "swap_chain_instance.json": [["contract", "--instance", None], ["code", "compose", None]],
+    "triangle_composition.json": [["contract", "--instance", None], ["code", "compose", None, "--distance"]],
+    "five_qubit_code.json": [["code", "distance", None]],
+}
+
+OTHER_TYPES = ["x", "01", "", [], [0], {}, {"id": "c0"}, 1.5, True, None]
+INTEGERS = [-1, 0, 1, 3_000_000, -(10**18), 10**18, 2**64]
+drop = object()  # stands for "delete the value" in a mutation
+
+
+def paths(value, prefix=()):
+    """The key path of every value inside ``value``, the root included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from paths(item, prefix + (key,))
+
+
+def mutated(data, path, replacement):
+    """A copy of ``data`` with the value at ``path`` replaced, or dropped
+    when ``replacement`` is ``drop``."""
+    if not path:
+        return replacement
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return data
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_mutated_fixture_exits_cleanly(tmp_path, name):
+    text = (FIXTURES / name).read_text()
+    data = json.loads(text)
+    every_path = list(paths(data))
+    file = tmp_path / name
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def check(draw):
+        kind = draw.draw(st.sampled_from(["drop", "type", "integer", "truncate"]), label="kind")
+        if kind == "truncate":
+            mutant = text[: draw.draw(st.integers(0, len(text) - 1), label="length")]
+        else:
+            path = draw.draw(st.sampled_from(every_path[1:] if kind == "drop" else every_path), label="path")
+            value = {"drop": st.just(drop), "type": st.sampled_from(OTHER_TYPES), "integer": st.sampled_from(INTEGERS)}
+            mutant = json.dumps(mutated(data, path, draw.draw(value[kind], label="value")))
+        file.write_text(mutant)
+        for argv in COMMANDS[name]:
+            code, err = run([str(file) if a is None else a for a in argv])
+            assert code in (0, 1, 2), err
+            assert "Traceback" not in err
+            if code == 2:
+                assert str(file) in err, err
+
+    check()
