@@ -72,6 +72,8 @@ def _load_json(path: str, loader, what: str):
         return loader(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise CliError(f"{path}: invalid JSON: nested too deeply") from None
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
@@ -221,10 +223,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 spec = RegularTreeSpec(n, p)
                 for scheme in (Scheme.LQC, Scheme.EPR):
                     channels = channel_count(spec, scheme)
-                    rows.append(
-                        f"{n},{p},{scheme.value},{latency(spec, scheme)},"
-                        f"{memory_qubits(spec, scheme)},{channels},{p_success(channels)}"
-                    )
+                    try:
+                        figures = ",".join(map(str, (latency(spec, scheme), memory_qubits(spec, scheme), channels)))
+                    except ValueError:  # str() refuses an integer past its digit limit
+                        raise CliError(
+                            f"--n/--p: n={n}, p={p} gives a figure of more than "
+                            f"{sys.get_int_max_str_digits()} digits, too large to print"
+                        ) from None
+                    rows.append(f"{n},{p},{scheme.value},{figures},{p_success(channels)}")
     _emit("\n".join([header] + rows), args.out)
     return EXIT_OK
 

@@ -1,14 +1,16 @@
 """Bell-pair contraction of stabilizer node states.
 
 Gluing a set of node states along Bell pairs leaves a residual
-stabilizer group on the unpaired (boundary) qubits.  The residual is
-extracted without simulating measurements: stack every node generator
-and every Bell-pair generator as symplectic rows, restrict the rows to
-the contracted qubit columns, and compute the GF(2) kernel.  Each kernel
-basis vector is materialized as an explicit operator product over its set
-bits so that signs are exact; the products are identity on the contracted
-qubits, and the :class:`StabilizerGroup` built from their boundary
-restrictions, in one elimination, is the residual.
+stabilizer group on the unpaired (boundary) qubits.  The instance derives
+its layout (qubit count and boundary) once; :func:`contract` builds the
+operators, each node generator shifted by its block's offset and then
+each pairing's two Bell-pair generators.  The residual is extracted
+without simulating measurements: stack the operators as symplectic rows,
+restrict the rows to the contracted qubit columns, and compute the GF(2)
+kernel.  Each kernel basis vector is materialized as an explicit operator
+product over its set bits so that signs are exact; the products are
+identity on the contracted qubits, and the :class:`StabilizerGroup` built
+from their boundary restrictions, in one elimination, is the residual.
 
 If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
@@ -128,30 +130,14 @@ class ContractionInstance:
                     raise ValueError(f"qubit {q} appears in two pairings")
                 seen.add(q)
 
-    @property
+    @functools.cached_property
     def total_qubits(self) -> int:
         return max(off + g.n for g, off in zip(self.node_states, self.offsets))
 
-    @property
-    def contracted(self) -> frozenset[int]:
-        return frozenset(q for pair in self.pairings for q in pair)
-
-    @property
+    @functools.cached_property
     def boundary(self) -> tuple[int, ...]:
-        paired = self.contracted
+        paired = {q for pair in self.pairings for q in pair}
         return tuple(q for q in range(self.total_qubits) if q not in paired)
-
-    def all_generators(self) -> list[PauliOperator]:
-        """Node generators (embedded) followed by Bell-pair generators."""
-        n = self.total_qubits
-        ops = [
-            g.embed(n, off)
-            for group, off in zip(self.node_states, self.offsets)
-            for g in group.generators
-        ]
-        for i, j in self.pairings:
-            ops.extend(bell_generators(i, j, n, self.convention))
-        return ops
 
     def to_json(self) -> str:
         return json.dumps(
@@ -210,9 +196,13 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     """Residual stabilizer group left on the boundary after Bell projection."""
     n = inst.total_qubits
     boundary = inst.boundary
-    ops = inst.all_generators()
+    # each node generator shifted by its block's offset, then each pairing's Bell pair
+    blocks = zip(inst.node_states, inst.offsets)
+    ops = [PauliOperator(n, g.x << off, g.z << off, g.phase) for group, off in blocks for g in group.generators]
+    for i, j in inst.pairings:
+        ops.extend(bell_generators(i, j, n, inst.convention))
 
-    contracted = sum(1 << q for q in inst.contracted)
+    contracted = ((1 << n) - 1) ^ sum(1 << q for q in boundary)
     columns = symplectic(contracted, contracted, n)
     kernel = gf2.left_kernel(op.symplectic_row() & columns for op in ops)
 
@@ -226,7 +216,8 @@ def contract(inst: ContractionInstance) -> ContractionResult:
         z = sum(bit_of[q] for q in gf2.set_bits(witness.z))
         candidates.append(PauliOperator(len(boundary), x, z, witness.phase))
 
-    exponent = len(inst.contracted) - len(ops) + len(kernel)
+    # validation keeps the pairs disjoint: 2 * len(pairings) paired qubits
+    exponent = 2 * len(inst.pairings) - len(ops) + len(kernel)
     try:
         residual = StabilizerGroup(len(boundary), tuple(candidates))
     except MinusIdentityError:

@@ -120,12 +120,6 @@ class PauliOperator:
     def negated(self) -> PauliOperator:
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) % 4)
 
-    def embed(self, n_total: int, offset: int) -> PauliOperator:
-        """Place this operator at ``offset`` inside an identity on ``n_total`` qubits."""
-        if offset < 0 or offset + self.n > n_total:
-            raise ValueError(f"offset {offset} does not fit {self.n} qubits in {n_total}")
-        return PauliOperator(n_total, self.x << offset, self.z << offset, self.phase)
-
     def symplectic_row(self) -> int:
         return symplectic(self.x, self.z, self.n)
 

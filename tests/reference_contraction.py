@@ -118,7 +118,7 @@ def contract_json(inst: ContractionInstance) -> str:
     paired = {q for pair in inst.pairings for q in pair}
     boundary = [q for q in range(n) if q not in paired]
     ops = [
-        g.embed(n, off)
+        PauliOperator(n, g.x << off, g.z << off, g.phase)
         for group, off in zip(inst.node_states, inst.offsets)
         for g in group.generators
     ]

@@ -471,6 +471,14 @@ class TestMetricsCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {topology}: clients unreachable from 'hub': ['c0']\n"
 
+    def test_too_large_figure_names_options(self, capsys):
+        # 2**20000 has 6021 digits, past str()'s limit; the message used to
+        # name no option and pointed at a Python API
+        code, out, err = run(capsys, "metrics", "--n", "2", "--p", "20000")
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: --n/--p: n=2, p=20000 gives a figure of more than {limit} digits, too large to print\n"
+
 
 class TestNumericFields:
     """A numeric input field that is not a JSON integer exits 2 naming the
@@ -591,6 +599,26 @@ def _set(key, value, *dropped):
 
 
 STAR, KITE = fixture("star_topology.json"), fixture("kite_target.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contract", "--instance", None],
+        ["code", "distance", None],
+        ["feasibility", "--topology", None, "--target", KITE],
+        ["feasibility", "--topology", STAR, "--target", None],
+        ["feasibility", "--topology", STAR, "--target", KITE, "--bipartitions", None],
+    ],
+    ids=["instance", "code", "topology", "target", "bipartitions"],
+)
+def test_deep_nesting_is_invalid_json(tmp_path, capsys, argv):
+    # past the parser's recursion limit; this used to exit 3 on RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000)
+    code, out, err = run(capsys, *[str(path) if a is None else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: invalid JSON: nested too deeply\n"
 
 
 class TestJsonTypes:

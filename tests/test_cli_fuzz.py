@@ -1,11 +1,12 @@
 """Fuzz the CLI's file inputs with mutated fixtures.
 
 Each fixture is read as JSON, mutated once (a key or entry dropped, a value
-swapped for one of another type or for a huge or negative integer, or the
-text truncated) and fed to every command that reads it.  Whatever the
-mutation, the command exits 0, 1 or 2: never 3, which is a bug, and never
-with a traceback.  An exit 2 names the mutated file on stderr.  Runs are
-derandomized, so every run tries the same inputs.
+swapped for one of another type or for a huge or negative integer, the
+text truncated, or the text wrapped in brackets, up to deeper than the
+JSON parser's recursion limit) and fed to every command that reads it.
+Whatever the mutation, the command exits 0, 1 or 2: never 3, which is a
+bug, and never with a traceback.  An exit 2 names the mutated file on
+stderr.  Runs are derandomized, so every run tries the same inputs.
 """
 
 import contextlib
@@ -36,10 +37,12 @@ COMMANDS = {
     "swap_chain_instance.json": [["contract", "--instance", None], ["code", "compose", None]],
     "triangle_composition.json": [["contract", "--instance", None], ["code", "compose", None, "--distance"]],
     "five_qubit_code.json": [["code", "distance", None]],
+    "kite_bipartitions.json": [["feasibility", "--topology", STAR, "--target", KITE, "--bipartitions", None]],
 }
 
 OTHER_TYPES = ["x", "01", "", [], [0], {}, {"id": "c0"}, 1.5, True, None]
 INTEGERS = [-1, 0, 1, 3_000_000, -(10**18), 10**18, 2**64]
+DEPTHS = [1, 50, 3000]  # bracket runs around the text; 3000 passes the parser's recursion limit
 drop = object()  # stands for "delete the value" in a mutation
 
 
@@ -84,9 +87,12 @@ def test_mutated_fixture_exits_cleanly(tmp_path, name):
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.data())
     def check(draw):
-        kind = draw.draw(st.sampled_from(["drop", "type", "integer", "truncate"]), label="kind")
+        kind = draw.draw(st.sampled_from(["drop", "type", "integer", "truncate", "nest"]), label="kind")
         if kind == "truncate":
             mutant = text[: draw.draw(st.integers(0, len(text) - 1), label="length")]
+        elif kind == "nest":
+            depth = draw.draw(st.sampled_from(DEPTHS), label="depth")
+            mutant = "[" * depth + text + "]" * depth
         else:
             path = draw.draw(st.sampled_from(every_path[1:] if kind == "drop" else every_path), label="path")
             value = {"drop": st.just(drop), "type": st.sampled_from(OTHER_TYPES), "integer": st.sampled_from(INTEGERS)}

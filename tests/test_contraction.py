@@ -170,6 +170,14 @@ class TestInstanceValidation:
         assert inst.offsets == (0, 2)
         assert inst.convention is BellConvention.PLUS_PAIR
 
+    def test_layout_is_derived_once(self):
+        # validation computes the qubit count; contract reads both values
+        # from the instance's cache instead of rebuilding them
+        inst = ContractionInstance((EPR, EPR), ((0, 2),))
+        assert vars(inst)["total_qubits"] == 4
+        boundary = contract(inst).boundary
+        assert vars(inst)["boundary"] is boundary is inst.boundary
+
 
 class TestContract:
     def test_entanglement_swapping(self):
@@ -360,7 +368,7 @@ class TestContractSingleElement:
             node_group = StabilizerGroup(
                 n,
                 tuple(
-                    g.embed(n, off)
+                    PauliOperator(n, g.x << off, g.z << off, g.phase)
                     for group, off in zip(inst.node_states, inst.offsets)
                     for g in group.generators
                 ),
@@ -544,3 +552,36 @@ class TestNodeOrderInvariance:
                 plain.status, plain.log_norm_exponent, plain.boundary
             )
             assert groups_equal(plain.residual, other.residual)
+
+
+class TestStagedContraction:
+    """Past the dense oracle: contracting a random part of the pairings and
+    then the rest on the first residual is the one-shot contraction.  The
+    second stage's pairings are remapped through the first boundary, and
+    its boundary read back through it is the one-shot boundary."""
+
+    def test_two_stages_equal_one_shot(self):
+        rng = random.Random(5)
+        statuses = Counter()
+        for _ in range(60):
+            inst = random_relay_tree(rng)
+            pairings = list(inst.pairings)
+            rng.shuffle(pairings)
+            cut = rng.randint(0, len(pairings))
+            once = contract(inst)
+            stage1 = contract(
+                ContractionInstance(inst.node_states, tuple(pairings[:cut]), inst.convention, inst.offsets)
+            )
+            statuses[once.status] += 1
+            if stage1.status is Status.ANNIHILATED:
+                assert once.status is Status.ANNIHILATED
+                continue
+            local = {q: k for k, q in enumerate(stage1.boundary)}
+            rest = tuple((local[i], local[j]) for i, j in pairings[cut:])
+            stage2 = contract(ContractionInstance((stage1.residual,), rest, inst.convention))
+            assert stage2.status is once.status
+            assert tuple(stage1.boundary[k] for k in stage2.boundary) == once.boundary
+            assert groups_equal(stage2.residual, once.residual)
+            if once.status is not Status.ANNIHILATED:
+                assert stage1.log_norm_exponent + stage2.log_norm_exponent == once.log_norm_exponent
+        assert statuses[Status.PURE] and statuses[Status.ANNIHILATED], statuses

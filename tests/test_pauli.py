@@ -314,12 +314,6 @@ class TestStabilizerGroup:
         group = StabilizerGroup.from_strings(["XX", "ZZ"])
         assert oracle.group_entanglement_rank(group, [0]) == 1
 
-    def test_embed_and_restrict(self):
-        p = parse_pauli("-XZ")
-        e = p.embed(5, 2)
-        assert e.to_string() == "-IIXZI"
-        assert reference_contraction.restricted_to(e, [2, 3]) == p
-
 
 class TestRangeCheck:
     @pytest.mark.parametrize("n", [1, 5, 64, 1000])
