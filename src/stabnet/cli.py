@@ -19,7 +19,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .codes import (
@@ -178,15 +180,43 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_range(option: str, text: str) -> list[int]:
+def _parse_range(option: str, text: str) -> Sequence[int]:
     lo, dots, hi = text.partition("..")
-    try:
-        values = list(range(int(lo), int(hi) + 1)) if dots else [int(v) for v in text.split(",")]
+    try:  # a range stays lazy: its length is not bounded
+        values = range(int(lo), int(hi) + 1) if dots else [int(v) for v in text.split(",")]
     except ValueError:
         raise CliError(f"{option}: bad range {text!r}, expected a value like 3, a list like 2,4 or a range like 1..6") from None
     if not values:
         raise CliError(f"{option}: empty range {text!r}, its end is below its start")
     return values
+
+
+def _printable(n: int, p: int, limit: int) -> bool:
+    """Whether str() prints every figure of tree (n, p) under its ``limit``
+    digits (0: no limit).  The largest figure is the EPR channel count
+    n**p * p, or the LQC memory n + 1 when p = 1; it is built only when its
+    digit count is within about one of the limit."""
+    if not limit:
+        return True
+    log10_n = math.log10(n)
+    if p > (limit + 1) / log10_n:  # n**p alone has more than limit + 1 digits
+        return False
+    if p * log10_n + math.log10(p) < limit - 1:
+        return True
+    return max(n**p * p, n + 1) < 10**limit
+
+
+def _tree_specs(ns: Sequence[int], ps: Sequence[int]) -> list[RegularTreeSpec]:
+    """The sweep's trees in order, refused at the first with a figure too
+    large to print, before any figure is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    specs = []
+    for n in ns:
+        for p in ps:
+            specs.append(RegularTreeSpec(n, p))
+            if not _printable(n, p, limit):
+                raise CliError(f"--n/--p: n={n}, p={p} gives a figure of more than {limit} digits, too large to print")
+    return specs
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -218,19 +248,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         missing = "--p" if args.p is None else "--n"
         raise CliError(f"{missing} is required with {tree_options[0]}")
     else:
-        for n in _parse_range("--n", args.n):
-            for p in _parse_range("--p", args.p):
-                spec = RegularTreeSpec(n, p)
-                for scheme in (Scheme.LQC, Scheme.EPR):
-                    channels = channel_count(spec, scheme)
-                    try:
-                        figures = ",".join(map(str, (latency(spec, scheme), memory_qubits(spec, scheme), channels)))
-                    except ValueError:  # str() refuses an integer past its digit limit
-                        raise CliError(
-                            f"--n/--p: n={n}, p={p} gives a figure of more than "
-                            f"{sys.get_int_max_str_digits()} digits, too large to print"
-                        ) from None
-                    rows.append(f"{n},{p},{scheme.value},{figures},{p_success(channels)}")
+        for spec in _tree_specs(_parse_range("--n", args.n), _parse_range("--p", args.p)):
+            for scheme in (Scheme.LQC, Scheme.EPR):
+                channels = channel_count(spec, scheme)
+                figures = ",".join(map(str, (latency(spec, scheme), memory_qubits(spec, scheme), channels)))
+                rows.append(f"{spec.n},{spec.p},{scheme.value},{figures},{p_success(channels)}")
     _emit("\n".join([header] + rows), args.out)
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Bell-pair contraction of stabilizer node states.
 
 Gluing a set of node states along Bell pairs leaves a residual
-stabilizer group on the unpaired (boundary) qubits.  The instance derives
-its layout (qubit count and boundary) once; :func:`contract` builds the
+stabilizer group on the unpaired (boundary) qubits.  The instance keeps
+its layout as its checks compute it: the qubit count from the node blocks,
+the boundary from the paired qubits.  :func:`contract` builds the
 operators, each node generator shifted by its block's offset and then
 each pairing's two Bell-pair generators.  The residual is extracted
 without simulating measurements: stack the operators as symplectic rows,
@@ -83,7 +84,8 @@ class Status(Enum):
 @dataclass(frozen=True)
 class ContractionInstance:
     """Node stabilizer groups on consecutive global qubit blocks plus the
-    disjoint qubit pairs to be projected onto the Bell state."""
+    disjoint qubit pairs to be projected onto the Bell state.  The checks
+    set ``total_qubits`` and ``boundary``, the unpaired qubits in order."""
 
     node_states: tuple[StabilizerGroup, ...]
     pairings: tuple[tuple[int, int], ...]
@@ -116,7 +118,7 @@ class ContractionInstance:
         stops = [0] + [stop for _, stop in blocks]
         if any(start < stop for (start, _), stop in zip(blocks[1:], stops[1:])):
             raise ValueError("node qubit blocks overlap")
-        total = self.total_qubits
+        total = max(off + g.n for g, off in zip(self.node_states, self.offsets))
         if any(start != stop for (start, _), stop in zip(blocks, stops)) or total > stops[-1]:
             raise ValueError("node blocks must cover qubits 0..total-1 exactly")
         seen: set[int] = set()
@@ -129,15 +131,9 @@ class ContractionInstance:
                 if q in seen:
                     raise ValueError(f"qubit {q} appears in two pairings")
                 seen.add(q)
-
-    @functools.cached_property
-    def total_qubits(self) -> int:
-        return max(off + g.n for g, off in zip(self.node_states, self.offsets))
-
-    @functools.cached_property
-    def boundary(self) -> tuple[int, ...]:
-        paired = {q for pair in self.pairings for q in pair}
-        return tuple(q for q in range(self.total_qubits) if q not in paired)
+        # the layout the checks computed; not fields, so not compared or printed
+        object.__setattr__(self, "total_qubits", total)
+        object.__setattr__(self, "boundary", tuple(q for q in range(total) if q not in seen))
 
     def to_json(self) -> str:
         return json.dumps(

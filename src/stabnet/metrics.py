@@ -11,6 +11,7 @@ independent per-channel survival probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,15 +39,15 @@ class RegularTreeSpec:
 
     @property
     def relay_count(self) -> int:
-        # levels 0 .. p-1 hold relays, level p holds the clients
-        return sum(self.n**level for level in range(self.p))
+        # levels 0 .. p-1 hold relays, level p holds the clients: a geometric sum
+        return (self.n**self.p - 1) // (self.n - 1)
 
     @property
     def client_count(self) -> int:
         return self.n**self.p
 
     def edge_count(self) -> int:
-        return sum(self.n**level for level in range(1, self.p + 1))
+        return self.n * self.relay_count  # every relay has n child edges
 
     def as_topology(self) -> NetworkTopology:
         nodes = []
@@ -94,10 +95,21 @@ def memory_qubits(spec: RegularTreeSpec, scheme: Scheme | str) -> int:
 
 
 def success_probability(noise: NoiseSpec, channels: int) -> float:
-    """(1 - p_fail)**channels: the no-abort branch of the flag channel."""
+    """(1 - p_fail)**channels: the no-abort branch of the flag channel.
+
+    Past the float range of ``channels`` it is exp(channels * log1p(-p_fail))
+    worked in logs, which is 0.0 for any p_fail above about 1e-305.
+    """
     if channels < 0:
         raise ValueError("channel count must be >= 0")
-    return (1.0 - noise.p_fail) ** channels
+    try:
+        return (1.0 - noise.p_fail) ** channels
+    except OverflowError:  # the int exponent does not convert to a float
+        if noise.p_fail in (0.0, 1.0):
+            return 1.0 - noise.p_fail
+        # log of channels * -log(1 - p_fail); past 709 its exp overflows, and the result is 0.0
+        decay = math.log(channels) + math.log(-math.log1p(-noise.p_fail))
+        return 0.0 if decay > 709 else math.exp(-math.exp(decay))
 
 
 def channel_count(

@@ -2,19 +2,20 @@
 
 A topology is a set of labeled nodes (relays and clients) and undirected
 edges carrying an integer channel count (log2 of the edge dimension).
-It is compiled once, on first use, into residual arcs in reverse pairs
-with parallel edges merged; `hops_from` and `min_cut` share them.
-`min_cut` is max-flow by BFS augmenting paths from all of one client set
-to the other.  It stops once the flow reaches the smaller of the two
-sets' channel totals, which no flow can exceed.
+Its id tuples and its residual arcs (reverse pairs, parallel edges
+merged) are built once, on first use; `hops_from` and `min_cut` share
+the arcs.  `min_cut` is max-flow by BFS augmenting paths from all of one
+client set to the other, stopped once the flow reaches the smaller of
+the two sets' channel totals, which no flow can exceed.
 
 A target graph state is single-shot distributable only if every client
 bipartition's min-cut is at least the target's entanglement rank across
 it (a necessary condition; no coding strategy is synthesized), so
-`feasibility` streams A-side client masks and reports the first violation
-or the full table.  Twin clients share a neighbour->channel map, so
-swapping two is an automorphism: a cut depends only on how many twins of
-each class sit on each side, and the sweep runs one flow per such count.
+`feasibility` streams A-side client masks into a table that ends at the
+first violation: the verdict and its witness are read off the last row.
+Twin clients share a neighbour->channel map, so swapping two is an
+automorphism: a cut depends only on how many twins of each class sit on
+each side, and the sweep runs one flow per such count.
 
 `to_contraction` realizes the dual picture: every edge channel becomes a
 Bell pair with one half at each endpoint, every relay is assigned a
@@ -70,7 +71,7 @@ class NetworkTopology:
             if require_int(c, f"edges[{k}].channels") < 1:
                 raise ValueError(f"edge ({u}, {v}) needs channels >= 1, got {c}")
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.nodes)
 
@@ -78,11 +79,11 @@ class NetworkTopology:
     def roles(self) -> dict[str, str]:
         return dict(self.nodes)
 
-    @property
+    @cached_property
     def clients(self) -> tuple[str, ...]:
         return tuple(i for i, r in self.nodes if r == "client")
 
-    @property
+    @cached_property
     def relays(self) -> tuple[str, ...]:
         return tuple(i for i, r in self.nodes if r == "relay")
 
@@ -219,9 +220,15 @@ class BipartitionReport:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    feasible: bool
-    witness: BipartitionReport | None
     table: tuple[BipartitionReport, ...]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.table or self.table[-1].ok
+
+    @property
+    def witness(self) -> BipartitionReport | None:
+        return None if self.feasible else self.table[-1]
 
     @property
     def note(self) -> str:
@@ -293,7 +300,6 @@ def feasibility(
     full = (1 << n) - 1
     cuts: dict[int, int] = {}
     table = []
-    witness = None
     for a_mask in bipartition_list:
         side = list(gf2.set_bits(a_mask))
         a = tuple(clients[i] for i in side)
@@ -304,9 +310,8 @@ def feasibility(
         report = BipartitionReport(a, b, cuts[key], entanglement_rank(target, a_mask))
         table.append(report)
         if not report.ok:
-            witness = report
             break
-    return FeasibilityVerdict(witness is None, witness, tuple(table))
+    return FeasibilityVerdict(tuple(table))
 
 
 def repetition_state(num_qubits: int) -> StabilizerGroup:
@@ -374,10 +379,4 @@ def to_contraction(
         held[relay] = ports
     for client in t.clients:
         held[client] = tuple(halves[client])
-
-    inst = ContractionInstance(
-        node_states=tuple(node_states),
-        pairings=tuple(pairings),
-        convention=convention,
-    )
-    return inst, held
+    return ContractionInstance(tuple(node_states), tuple(pairings), convention), held

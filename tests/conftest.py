@@ -148,6 +148,31 @@ def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
     )
 
 
+def conjugated(group: StabilizerGroup, qubit: int, gate: str) -> StabilizerGroup:
+    """Every generator conjugated by H or S on ``qubit``, signs exact:
+    H maps Y to -Y, S maps X to Y and Y to -X."""
+    gens = []
+    for g in group.generators:
+        xb, zb = (g.x >> qubit) & 1, (g.z >> qubit) & 1
+        x, z = g.x, g.z
+        if gate == "H":
+            x ^= (xb ^ zb) << qubit
+            z ^= (xb ^ zb) << qubit
+        else:
+            z ^= xb << qubit
+        gens.append(PauliOperator(g.n, x, z, (g.phase + 2 * (xb & zb)) % 4))
+    return StabilizerGroup(group.n, tuple(gens))
+
+
+def permuted(group: StabilizerGroup, perm: list[int]) -> StabilizerGroup:
+    """Qubit q of every generator moved to ``perm[q]``."""
+    def move(bits):
+        return sum(1 << perm[q] for q in gf2.set_bits(bits))
+
+    gens = (PauliOperator(g.n, move(g.x), move(g.z), g.phase) for g in group.generators)
+    return StabilizerGroup(group.n, tuple(gens))
+
+
 def rank_spectrum(group: StabilizerGroup) -> dict[tuple[int, ...], int]:
     """Entanglement rank for every subset choice containing qubit 0."""
     spectrum = {}

@@ -142,7 +142,6 @@ def feasibility(
             raise ValueError(f"{len(clients)} clients exceed the exhaustive sweep cap")
         bipartition_list = list(bipartitions(len(clients)))
     table = []
-    witness = None
     for a, b in bipartition_list:
         mc = min_cut(t, [clients[i] for i in a], [clients[i] for i in b])
         rank = entanglement_rank(target, (a, b))
@@ -154,6 +153,5 @@ def feasibility(
         )
         table.append(report)
         if not report.ok:
-            witness = report
             break
-    return FeasibilityVerdict(witness is None, witness, tuple(table))
+    return FeasibilityVerdict(tuple(table))

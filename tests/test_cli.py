@@ -471,6 +471,52 @@ class TestMetricsCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {topology}: clients unreachable from 'hub': ['c0']\n"
 
+    def test_channel_count_past_float_range(self, capsys):
+        # 2**2000 * 2000 channels used to overflow the survival power: exit 3
+        code, out, err = run(capsys, "metrics", "--n", "2", "--p", "2000", "--noise", "0.1")
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()
+        assert rows[-1].split(",")[:3] == ["2", "2000", "EPR"]
+        assert rows[-1].split(",")[-1] == "0"
+
+    @pytest.mark.parametrize(
+        "n, p, first",
+        [
+            ("3", "60000", "60000"),
+            ("7", "200000", "200000"),
+            ("2", "1000000000", "1000000000"),
+            ("2", "1..1000000000", "14271"),
+        ],
+    )
+    def test_too_large_sweep_refused_before_any_figure(self, capsys, monkeypatch, n, p, first):
+        # the refusal used to come from str() after every figure of the sweep
+        # was built: 29 s for n=3, p=60000, and 2**1000000000 is 125 MB
+        def no_figure(*args, **kwargs):
+            raise AssertionError("a figure was built")
+
+        monkeypatch.setattr("stabnet.cli.channel_count", no_figure)
+        build_parser()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "metrics", "--n", n, "--p", p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: --n/--p: n={n}, p={first} gives a figure of more than {limit} digits, too large to print\n"
+        assert peak < 10_000_000
+
+    def test_largest_printable_figures_still_print(self, capsys):
+        # 2**14270 * 14270 has 4300 digits, the most str() prints by default
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "metrics", "--n", "2", "--p", "14270")
+        assert code == 0
+        assert len(out.strip().splitlines()[-1].split(",")[5]) == limit == 4300
+        # at p = 1 the largest figure is the memory n + 1, not the channels
+        code, _, err = run(capsys, "metrics", "--n", "9" * limit, "--p", "1")
+        assert code == 2 and "too large to print" in err
+
     def test_too_large_figure_names_options(self, capsys):
         # 2**20000 has 6021 digits, past str()'s limit; the message used to
         # name no option and pointed at a Python API

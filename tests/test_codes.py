@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import groups_equal, member
+from conftest import conjugated, groups_equal, member, permuted
 import dense_oracle as oracle
 import reference_codes as reference
 from stabnet import codes
@@ -58,31 +58,6 @@ def random_code(rng, n: int, k: int) -> StabilizerCode:
                 zs[i] ^= ((zs[i] >> b) & 1) << a
     gens = (PauliOperator(n, x, z, rng.choice((0, 2))) for x, z in zip(xs, zs))
     return StabilizerCode(StabilizerGroup(n, tuple(gens)))
-
-
-def conjugated(code: StabilizerCode, qubit: int, gate: str) -> StabilizerCode:
-    """Every generator conjugated by H or S on ``qubit``, signs exact:
-    H maps Y to -Y, S maps X to Y and Y to -X."""
-    gens = []
-    for g in code.group.generators:
-        xb, zb = (g.x >> qubit) & 1, (g.z >> qubit) & 1
-        x, z = g.x, g.z
-        if gate == "H":
-            x ^= (xb ^ zb) << qubit
-            z ^= (xb ^ zb) << qubit
-        else:
-            z ^= xb << qubit
-        gens.append(PauliOperator(g.n, x, z, (g.phase + 2 * (xb & zb)) % 4))
-    return StabilizerCode(StabilizerGroup(code.n, tuple(gens)))
-
-
-def permuted(code: StabilizerCode, perm: list[int]) -> StabilizerCode:
-    """Qubit q of every generator moved to ``perm[q]``."""
-    def move(bits):
-        return sum(((bits >> q) & 1) << perm[q] for q in range(code.n))
-
-    gens = (PauliOperator(g.n, move(g.x), move(g.z), g.phase) for g in code.group.generators)
-    return StabilizerCode(StabilizerGroup(code.n, tuple(gens)))
 
 
 def random_ring(rng, pool, m: int):
@@ -384,7 +359,7 @@ class TestMetamorphic:
             code = next(gen)
             perm = list(range(code.n))
             rng.shuffle(perm)
-            assert distance(permuted(code, perm), 4) == distance(code, 4)
+            assert distance(StabilizerCode(permuted(code.group, perm)), 4) == distance(code, 4)
 
     def test_local_clifford(self, rng):
         gen = self.codes(rng)
@@ -394,7 +369,7 @@ class TestMetamorphic:
             d = distance(code, 4)
             moved = code
             for _ in range(rng.randint(1, 2 * code.n)):
-                moved = conjugated(moved, rng.randrange(code.n), rng.choice("HS"))
+                moved = StabilizerCode(conjugated(moved.group, rng.randrange(code.n), rng.choice("HS")))
             assert distance(moved, 4) == d
             found.add(d)
         assert {1, 3} <= found
@@ -402,10 +377,10 @@ class TestMetamorphic:
     def test_single_gates_move_letters(self):
         # the five-qubit code's first generator XZZXI under H and S on qubit 0
         code = five_qubit_code()
-        h = conjugated(code, 0, "H").group.generators[0]
-        s = conjugated(code, 0, "S").group.generators[0]
+        h = conjugated(code.group, 0, "H").generators[0]
+        s = conjugated(code.group, 0, "S").generators[0]
         assert (h.to_string(), s.to_string()) == ("+ZZZXI", "+YZZXI")
-        y = conjugated(conjugated(code, 0, "S"), 0, "S").group.generators[0]
+        y = conjugated(conjugated(code.group, 0, "S"), 0, "S").generators[0]
         assert y.to_string() == "-XZZXI"  # S^2 = Z flips X
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 import re
 import tracemalloc
@@ -10,7 +12,9 @@ import pytest
 import reference_contraction
 from conftest import (
     check_against_dense,
+    conjugated,
     groups_equal,
+    permuted,
     random_contraction_instance,
     random_graph,
 )
@@ -26,7 +30,7 @@ from stabnet.contraction import (
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.metrics import RegularTreeSpec
 from stabnet.network import NetworkTopology, repetition_state, to_contraction
-from stabnet.pauli import PauliOperator, StabilizerGroup, parse_pauli
+from stabnet.pauli import PauliOperator, StabilizerGroup, parse_pauli, product
 
 EPR = StabilizerGroup.from_strings(["XX", "ZZ"])
 FIVE = StabilizerGroup.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
@@ -171,8 +175,8 @@ class TestInstanceValidation:
         assert inst.convention is BellConvention.PLUS_PAIR
 
     def test_layout_is_derived_once(self):
-        # validation computes the qubit count; contract reads both values
-        # from the instance's cache instead of rebuilding them
+        # validation computes the qubit count and the paired qubits and
+        # stores the layout; contract reads it instead of rebuilding it
         inst = ContractionInstance((EPR, EPR), ((0, 2),))
         assert vars(inst)["total_qubits"] == 4
         boundary = contract(inst).boundary
@@ -530,6 +534,12 @@ def random_relay_tree(rng: random.Random) -> ContractionInstance:
     return inst
 
 
+@functools.cache
+def relay_trees() -> tuple[ContractionInstance, ...]:
+    """Sixty seeded relay trees, shared by the invariance tests below."""
+    return tuple(random_relay_tree(random.Random(seed)) for seed in range(60))
+
+
 class TestNodeOrderInvariance:
     """Past the dense oracle: listing the node states in another order, each
     at its own ``qubit_offsets``, is the same instance, so it must give the
@@ -563,8 +573,7 @@ class TestStagedContraction:
     def test_two_stages_equal_one_shot(self):
         rng = random.Random(5)
         statuses = Counter()
-        for _ in range(60):
-            inst = random_relay_tree(rng)
+        for inst in relay_trees():
             pairings = list(inst.pairings)
             rng.shuffle(pairings)
             cut = rng.randint(0, len(pairings))
@@ -585,3 +594,64 @@ class TestStagedContraction:
             if once.status is not Status.ANNIHILATED:
                 assert stage1.log_norm_exponent + stage2.log_norm_exponent == once.log_norm_exponent
         assert statuses[Status.PURE] and statuses[Status.ANNIHILATED], statuses
+
+
+class TestLocalRelabelling:
+    """Past the dense oracle, on the staged-contraction trees: a local change
+    of basis or of qubit labels moves the residual the way it predicts,
+    signs and normalization included."""
+
+    def test_graph_edge_is_plus_pair_after_hadamard(self):
+        # CZ|++> is (I x H)(|00> + |11>): projecting a pair onto the graph
+        # edge is projecting onto the plus pair after H on its second qubit,
+        # so that qubit's node state gets X <-> Z and Y -> -Y.  Each node's
+        # generators are first replaced by random products of them, the same
+        # group, so that Y letters occur.
+        rng = random.Random(11)
+        statuses = Counter()
+        for inst in relay_trees():
+            states = [mixed(group, rng) for group in inst.node_states]
+            inst = dataclasses.replace(inst, node_states=tuple(states))
+            owner = {q: k for k, off in enumerate(inst.offsets) for q in range(off, off + states[k].n)}
+            for _, j in inst.pairings:
+                k = owner[j]
+                states[k] = conjugated(states[k], j - inst.offsets[k], "H")
+            edge = contract(dataclasses.replace(inst, convention=BellConvention.GRAPH_EDGE))
+            plus = contract(ContractionInstance(tuple(states), inst.pairings, BellConvention.PLUS_PAIR, inst.offsets))
+            assert (plus.status, plus.boundary, plus.log_norm_exponent) == (
+                edge.status, edge.boundary, edge.log_norm_exponent
+            )
+            assert groups_equal(plus.residual, edge.residual)
+            statuses[edge.status] += 1
+        assert statuses[Status.PURE] and statuses[Status.ANNIHILATED], statuses
+
+    def test_relabelling_block_qubits_relabels_the_residual(self):
+        # each node's block moves to a random place and is permuted inside;
+        # the pairings follow, and the residual's qubits follow the boundary
+        rng = random.Random(7)
+        for inst in relay_trees():
+            order = list(range(len(inst.node_states)))
+            rng.shuffle(order)
+            offsets = dict(zip(order, accumulate((inst.node_states[k].n for k in order), initial=0)))
+            to = list(range(inst.total_qubits))  # global qubit -> its new label
+            states = []
+            for k, (group, off) in enumerate(zip(inst.node_states, inst.offsets)):
+                local = list(range(group.n))
+                rng.shuffle(local)
+                to[off : off + group.n] = [offsets[k] + a for a in local]
+                states.append(permuted(group, local))
+            pairings = tuple((to[i], to[j]) for i, j in inst.pairings)
+            plain = contract(inst)
+            new_offsets = tuple(offsets[k] for k in range(len(states)))
+            moved = contract(ContractionInstance(tuple(states), pairings, inst.convention, new_offsets))
+            assert moved.boundary == tuple(sorted(to[q] for q in plain.boundary))
+            assert (moved.status, moved.log_norm_exponent) == (plain.status, plain.log_norm_exponent)
+            position = {q: k for k, q in enumerate(moved.boundary)}
+            assert groups_equal(moved.residual, permuted(plain.residual, [position[to[q]] for q in plain.boundary]))
+
+
+def mixed(group: StabilizerGroup, rng: random.Random) -> StabilizerGroup:
+    """The same group, each generator times a random subset of the later ones."""
+    gens = group.generators
+    products = (product([g, *(h for h in gens[i + 1 :] if rng.random() < 0.5)], group.n) for i, g in enumerate(gens))
+    return StabilizerGroup(group.n, tuple(products))

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import pytest
@@ -78,6 +79,18 @@ class TestSuccessProbability:
                 )
                 assert abs(total - 1.0) < 1e-12
 
+    def test_channels_past_the_float_range(self):
+        # (1.0 - p) ** channels raised OverflowError once channels passed
+        # about 1.8e308; the value there is worked in logs
+        huge = 2**20000 * 20000
+        assert success_probability(NoiseSpec(0.1), huge) == 0.0
+        assert success_probability(NoiseSpec(1.0), huge) == 0.0
+        assert success_probability(NoiseSpec(0.0), huge) == 1.0
+        assert success_probability(NoiseSpec(0.1), 0) == 1.0
+        # the smallest p_fail, 2**-1074, over 2**1030 channels: exp(-2**-44), not 0
+        survival = success_probability(NoiseSpec(2.0**-1074), 2**1030)
+        assert survival == pytest.approx(math.exp(-(2.0**-44)), rel=1e-15) and survival < 1.0
+
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(1.5)
@@ -130,6 +143,13 @@ class TestRegularTreeSpec:
         assert spec.relay_count == 4
         assert spec.client_count == 9
         assert spec.edge_count() == 12
+
+    def test_counts_are_the_level_sums(self):
+        for n in range(2, 9):
+            for p in range(1, 12):
+                spec = RegularTreeSpec(n, p)
+                assert spec.relay_count == sum(n**level for level in range(p))
+                assert spec.edge_count() == sum(n**level for level in range(1, p + 1))
 
     def test_as_topology_structure(self):
         spec = RegularTreeSpec(2, 3)

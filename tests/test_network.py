@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -24,6 +25,8 @@ from stabnet.graphstate import (
 )
 from stabnet.network import (
     ArityMismatchError,
+    BipartitionReport,
+    FeasibilityVerdict,
     NetworkTopology,
     feasibility,
     min_cut,
@@ -115,6 +118,8 @@ class TestTopology:
         t = star_topology(3)
         assert t.clients == ("c0", "c1", "c2")
         assert t.relays == ("hub",)
+        # derived once: the same tuples on every access
+        assert t.node_ids is t.node_ids and t.clients is t.clients and t.relays is t.relays
         with pytest.raises(ValueError):
             NetworkTopology((("a", "client"),), (("a", "a", 1),))
         with pytest.raises(ValueError):
@@ -278,6 +283,16 @@ class TestFeasibility:
         assert w is not None
         assert (w.min_cut, w.required_rank) == (1, 2)
         assert set(w.a) == {"a", "b"} and set(w.b) == {"c", "d"}
+        assert verdict.table[-1] is w and all(r.ok for r in verdict.table[:-1])
+
+    def test_verdict_is_read_off_the_table(self):
+        ok, bad = BipartitionReport(("a",), ("b",), 2, 1), BipartitionReport(("a",), ("b",), 1, 2)
+        assert (FeasibilityVerdict(()).feasible, FeasibilityVerdict(()).witness) == (True, None)
+        assert (FeasibilityVerdict((ok, ok)).feasible, FeasibilityVerdict((ok, ok)).witness) == (True, None)
+        verdict = FeasibilityVerdict((ok, bad))
+        assert (verdict.feasible, verdict.witness) == (False, bad)
+        assert verdict.as_dict()["witness"] == bad.as_dict()
+        assert [f.name for f in dataclasses.fields(FeasibilityVerdict)] == ["table"]
 
     def test_size_mismatch(self):
         t = star_topology(3)
