@@ -163,7 +163,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
         _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
         return EXIT_NEGATIVE
     if args.distance:
-        composed = composed.with_distance(_distance(composed, args))
+        composed = StabilizerCode(composed.group, _distance(composed, args))
     payload = composed.as_dict()
     payload["convention"] = inst.convention.value
     _emit(_dump(payload), args.out)
@@ -171,9 +171,13 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    bound = storage_bound(args.boundary, args.m, args.l, args.k, args.d)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(bound) >= 10**limit:
+        raise CliError(f"--B/--m/--l/--k/--d: storage_bound has more than {limit} digits, too large to print")
     payload = {
         "singleton_max_distance": singleton_max_distance(args.boundary, args.k * args.m),
-        "storage_bound": storage_bound(args.boundary, args.m, args.l, args.k, args.d),
+        "storage_bound": bound,
         "parameters": {name: getattr(args, name) for name in ("boundary", "m", "l", "k", "d")},
     }
     _emit(_dump(payload), args.out)

@@ -55,9 +55,6 @@ class StabilizerCode:
     def k(self) -> int:
         return self.group.n - len(self.group.generators)
 
-    def with_distance(self, d: int | None) -> StabilizerCode:
-        return StabilizerCode(self.group, d)
-
     def as_dict(self) -> dict:
         payload = {"n": self.n, "k": self.k, "generators": self.group.to_strings()}
         if self.distance is not None:

@@ -104,7 +104,10 @@ class ContractionInstance:
                 require_int(q, f"pairings[{k}][{side}]")
         for k, off in enumerate(self.offsets):
             require_int(off, f"qubit_offsets[{k}]")
-        object.__setattr__(self, "convention", BellConvention(self.convention))
+        try:
+            object.__setattr__(self, "convention", BellConvention(self.convention))
+        except ValueError:
+            raise ValueError(f'convention must be "plus-pair" or "graph-edge", got {self.convention!r}') from None
         if not self.node_states:
             raise ValueError("need at least one node state")
         if not self.offsets:
@@ -157,7 +160,7 @@ class ContractionInstance:
         return cls(
             node_states=nodes,
             pairings=require_type(require_key(data, "pairings"), list, "pairings", "a list of qubit pairs"),
-            convention=BellConvention(data.get("convention", "plus-pair")),
+            convention=data.get("convention", BellConvention.PLUS_PAIR),
             offsets=require_type(data.get("qubit_offsets", []), list, "qubit_offsets", "a list of integers"),
         )
 

@@ -1,11 +1,10 @@
 """GF(2) linear algebra on bit-packed rows.
 
-A row is a Python integer whose bit ``i`` is column ``i``.  Arbitrary
-precision ints give word-packed storage and word-wise XOR row operations
-for free, which is what keeps distance searches and bipartition sweeps
-cheap.  The module offers what the package runs: ``Eliminator`` (every
-stabilizer group and membership test), ``rank_packed`` for cut ranks,
-``left_kernel`` for contraction, and ``set_bits``.
+A row is a Python integer whose bit ``i`` is column ``i``: word-packed
+storage and word-wise XOR for free.  A rank is a pivot count
+(``rank_packed``, for cut ranks).  ``Eliminator`` tracks witnesses and
+serves the code that reads relations and solves: ``left_kernel``, every
+stabilizer group and the distance search's membership test.
 
 Elimination pivots on the highest set bit of a row.  Which rows are
 independent, and the relation that expresses each dependent row in the
@@ -64,10 +63,6 @@ class Eliminator:
         self._pivots: dict[int, tuple[int, int]] = {}
         self._n_rows = 0
 
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
     def _strip(self, row: int, mask: int) -> tuple[int, int]:
         pivots = self._pivots
         while row:
@@ -100,10 +95,14 @@ class Eliminator:
 
 
 def rank_packed(rows: Iterable[int]) -> int:
-    elim = Eliminator()
+    """GF(2) rank of ``rows``: how many highest-bit pivots they leave."""
+    pivots: dict[int, int] = {}  # pivot column + 1 -> reduced row
     for row in rows:
-        elim.add(row)
-    return elim.rank
+        while row and (pivot := pivots.get(row.bit_length())) is not None:
+            row ^= pivot
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
 
 
 def left_kernel(rows: Iterable[int]) -> list[int]:

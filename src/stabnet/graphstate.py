@@ -54,10 +54,6 @@ class GraphState:
         return cls(n, tuple(rows))
 
     @classmethod
-    def path(cls, n: int) -> GraphState:
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
     def cycle(cls, n: int) -> GraphState:
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -73,9 +69,6 @@ class GraphState:
             for v in range(u + 1, self.n)
             if (self.rows[u] >> v) & 1
         ]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
 
     def is_connected(self) -> bool:
         seen = 1
@@ -114,7 +107,7 @@ class GraphState:
     def to_bitstring(self) -> str:
         """Row-major upper triangle: bit for (u, v) with u < v."""
         return "".join(
-            "1" if self.has_edge(u, v) else "0"
+            "1" if (self.rows[u] >> v) & 1 else "0"
             for u in range(self.n)
             for v in range(u + 1, self.n)
         )

@@ -85,28 +85,29 @@ class NoiseSpec:
 def latency(spec: RegularTreeSpec, scheme: Scheme | str) -> int:
     """Distribution rounds: p for local coding, n**p for EPR swapping."""
     scheme = Scheme(scheme)
-    return spec.p if scheme is Scheme.LQC else spec.n**spec.p
+    return spec.p if scheme is Scheme.LQC else spec.client_count
 
 
 def memory_qubits(spec: RegularTreeSpec, scheme: Scheme | str) -> int:
     """Peak memory qubits per node: n + 1 for local coding, n**p for EPR."""
     scheme = Scheme(scheme)
-    return spec.n + 1 if scheme is Scheme.LQC else spec.n**spec.p
+    return spec.n + 1 if scheme is Scheme.LQC else spec.client_count
 
 
 def success_probability(noise: NoiseSpec, channels: int) -> float:
-    """(1 - p_fail)**channels: the no-abort branch of the flag channel.
-
-    Past the float range of ``channels`` it is exp(channels * log1p(-p_fail))
-    worked in logs, which is 0.0 for any p_fail above about 1e-305.
-    """
+    """(1 - p_fail)**channels, the no-abort branch of the flag channel, as
+    exp(channels * log1p(-p_fail)): ``1.0 - p_fail`` rounds a p_fail under
+    about 5.5e-17 away.  Past the float range of ``channels`` it is worked
+    in logs, and is 0.0 for any p_fail above about 1e-305."""
     if channels < 0:
         raise ValueError("channel count must be >= 0")
+    if noise.p_fail == 1.0:
+        return 0.0 if channels else 1.0
     try:
-        return (1.0 - noise.p_fail) ** channels
-    except OverflowError:  # the int exponent does not convert to a float
-        if noise.p_fail in (0.0, 1.0):
-            return 1.0 - noise.p_fail
+        return math.exp(channels * math.log1p(-noise.p_fail))
+    except OverflowError:  # the int channel count does not convert to a float
+        if noise.p_fail == 0.0:
+            return 1.0
         # log of channels * -log(1 - p_fail); past 709 its exp overflows, and the result is 0.0
         decay = math.log(channels) + math.log(-math.log1p(-noise.p_fail))
         return 0.0 if decay > 709 else math.exp(-math.exp(decay))

@@ -122,9 +122,6 @@ class NetworkTopology:
         ids = self.node_ids
         return {ids[u]: h for u, h in hops.items()}
 
-    def is_connected(self) -> bool:
-        return not self.nodes or len(self.hops_from(self.nodes[0][0])) == len(self.nodes)
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -13,8 +13,8 @@ with Y the standard Pauli matrix.  Only this module turns letters into
 bits: ``_BITS`` is the letter table, :func:`symplectic` the row layout,
 and :func:`letter_rows` the distance search's per-qubit X, Y and Z rows
 and syndromes.  The single sign convention used project-wide is ``Y = i
-* X * Z`` (equivalently ``X * Z = -i * Y``); :func:`product`, which ``*``
-also calls, is the one place that applies it.
+* X * Z`` (equivalently ``X * Z = -i * Y``); :func:`product` is the one
+place that applies it.
 Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
 odd phases only occur in intermediate products.  ``n`` may be 0: a
 zero-qubit operator is the scalar ``i**phase``, and ``StabilizerGroup(0,
@@ -104,18 +104,11 @@ class PauliOperator:
         if not 0 <= self.phase <= 3:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
 
-    def weight(self) -> int:
-        """Number of qubits with a non-identity letter."""
-        return (self.x | self.z).bit_count()
-
     def commutes_with(self, other: PauliOperator) -> bool:
         if self.n != other.n:
             raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
         sym = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
         return sym % 2 == 0
-
-    def __mul__(self, other: PauliOperator) -> PauliOperator:
-        return product((self, other), self.n)
 
     def negated(self) -> PauliOperator:
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) % 4)

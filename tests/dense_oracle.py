@@ -316,7 +316,7 @@ def contract_single_element(
         match = elements.get(pattern)
         if match is None:
             return None
-        acc = acc * _embed_pair(match, i, j, n)
+        acc = product((acc, _embed_pair(match, i, j, n)), n)
         paired.extend((i, j))
     boundary = [q for q in range(n) if q not in paired]
     if acc.phase not in (0, 2):

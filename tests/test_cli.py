@@ -312,6 +312,16 @@ class TestCodeCommand:
         assert data["storage_bound"] == 4
         assert data["singleton_max_distance"] == 4
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_bounds_past_digit_limit_names_options(self, capsys):
+        # an 8600-digit storage bound used to exit 2 with Python's own
+        # message, which names no option
+        limit = sys.get_int_max_str_digits()
+        big = str(10 ** (limit - 1))
+        code, out, err = run(capsys, "code", "bounds", "--B", big, "--m", big, "--l", big, "--k", "1", "--d", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --B/--m/--l/--k/--d: storage_bound has more than {limit} digits, too large to print\n"
+
     def test_compose_triangle(self, capsys):
         code, out, _ = run(
             capsys,
@@ -479,6 +489,13 @@ class TestMetricsCommand:
         assert rows[-1].split(",")[:3] == ["2", "2000", "EPR"]
         assert rows[-1].split(",")[-1] == "0"
 
+    def test_noise_below_float_spacing_is_kept(self, capsys):
+        # 1 - 1e-17 rounds to 1.0, which printed a survival of 1 on both
+        # rows; exp(-1111) and exp(-2e4) are 0 at 12 digits
+        code, out, err = run(capsys, "metrics", "--n", "10", "--p", "20", "--noise", "1e-17")
+        assert (code, err) == (0, "")
+        assert [row.split(",")[-1] for row in out.strip().splitlines()[1:]] == ["0", "0"]
+
     @pytest.mark.parametrize(
         "n, p, first",
         [
@@ -606,6 +623,18 @@ class TestNamedEntries:
                 lambda d: d["generators"].__setitem__(2, "+XIXZZ+"),
                 "bad code: generators[2]: invalid character '+' at position 6",
                 id="code-string",
+            ),
+            pytest.param(
+                ("contract", "--instance"), "swap_chain_instance.json",
+                lambda d: d.__setitem__("convention", 5),
+                'bad contraction instance: convention must be "plus-pair" or "graph-edge", got 5',
+                id="instance-convention",
+            ),
+            pytest.param(
+                ("code", "compose"), "triangle_composition.json",
+                lambda d: d.__setitem__("convention", "bell"),
+                "bad composition spec: convention must be \"plus-pair\" or \"graph-edge\", got 'bell'",
+                id="spec-convention",
             ),
         ],
     )

@@ -245,7 +245,7 @@ class TestContract:
     def test_relabeling_equivariance(self):
         # permuting the node order (a relabeling of global indices) permutes
         # the residual accordingly
-        g1 = stabilizer_generators(GraphState.path(2))
+        g1 = stabilizer_generators(GraphState.from_edges(2, [(0, 1)]))
         g2 = repetition_state(3)
         # node order swapped: g1 qubits (0,1)->(3,4), g2 qubits (2,3,4)->(0,1,2)
         inst_a = ContractionInstance((g1, g2), ((0, 2),))

@@ -158,7 +158,7 @@ class TestEntanglementRank:
 
 class TestBipartition:
     def test_rejects_empty_side(self):
-        g = GraphState.path(2)
+        g = GraphState.from_edges(2, [(0, 1)])
         for a_mask in (0, 0b11):  # side A empty, then side B empty
             with pytest.raises(ValueError, match="some but not all"):
                 entanglement_rank(g, a_mask)

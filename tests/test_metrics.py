@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal
 from math import comb
 
 import pytest
@@ -91,6 +92,20 @@ class TestSuccessProbability:
         survival = success_probability(NoiseSpec(2.0**-1074), 2**1030)
         assert survival == pytest.approx(math.exp(-(2.0**-44)), rel=1e-15) and survival < 1.0
 
+    def test_tree_sweeps_match_a_decimal_reference(self):
+        # (1.0 - p_fail) ** channels missed 869 of these 5220 rows: 1 - 1e-17
+        # rounds to 1.0, and the rounding of 1 - p_fail grows with the power
+        ctx = Context(prec=60)
+        for p_fail in (1e-17, 1e-12, 1e-8, 1e-4, 0.01, 0.05, 0.1, 0.5, 0.99, 1.0):
+            log_survival = ctx.ln(ctx.subtract(1, Decimal(p_fail))) if p_fail < 1 else None
+            for n in range(2, 11):
+                for p in range(1, 30):
+                    for scheme in Scheme:
+                        channels = channel_count(RegularTreeSpec(n, p), scheme)
+                        exact = 0.0 if log_survival is None else float(ctx.exp(log_survival * channels))
+                        error = abs(success_probability(NoiseSpec(p_fail), channels) - exact)
+                        assert error <= 1e-12 * exact or error <= 1e-300, (p_fail, n, p, scheme)
+
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(1.5)
@@ -157,7 +172,7 @@ class TestRegularTreeSpec:
         assert len(t.relays) == spec.relay_count
         assert len(t.clients) == spec.client_count
         assert len(t.edges) == spec.edge_count()
-        assert t.is_connected()
+        assert len(t.hops_from(t.nodes[0][0])) == len(t.nodes)
 
     def test_topology_has_degree_one_clients(self):
         t = RegularTreeSpec(3, 2).as_topology()

@@ -158,11 +158,12 @@ class TestTopology:
         assert set(again.edges) == set(t.edges)
 
     def test_connectivity(self):
-        assert star_topology(3).is_connected()
+        star = star_topology(3)
+        assert len(star.hops_from(star.nodes[0][0])) == len(star.nodes)
         broken = NetworkTopology(
             (("a", "client"), ("b", "client")), ()
         )
-        assert not broken.is_connected()
+        assert len(broken.hops_from("a")) < len(broken.nodes)
 
 
 class TestMinCut:
@@ -428,7 +429,7 @@ class TestMatchesReference:
         t = star_topology(3)
         t = NetworkTopology(t.nodes, t.edges + (("c1", "c2", 1),))
         monkeypatch.setattr(stabnet.network, "min_cut", counted)
-        verdict = feasibility(t, ["c0", "c1", "c2"], GraphState.path(3))
+        verdict = feasibility(t, ["c0", "c1", "c2"], GraphState.from_edges(3, [(0, 1), (1, 2)]))
         assert [r.min_cut for r in verdict.table] == [1, 2, 2]
         assert len(calls) == 3
 

@@ -99,7 +99,7 @@ class TestControlledIsometry:
         assert abs(out.overlap_magnitude(oracle.DenseState(5, expected)) - 1) < 1e-12
 
     def test_identity_branches_preserve_control(self):
-        state = oracle.graph_state_vector(GraphState.path(2))
+        state = oracle.graph_state_vector(GraphState.from_edges(2, [(0, 1)]))
         out = oracle.apply_controlled_isometry(
             state,
             [oracle.basis_state(1, 0), oracle.basis_state(1, 1)],
