@@ -16,6 +16,7 @@ no environment variable is read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -68,6 +69,15 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _naming(source: str):
+    """A library refusal raised inside the block names ``source``, the option or file at fault."""
+    try:
+        yield
+    except (ValueError, EnumerationBudgetError) as exc:
+        raise CliError(f"{source}: {exc}") from exc
+
+
 def _load_json(path: str, loader, what: str):
     text = _read(path)
     try:
@@ -94,10 +104,8 @@ def _a_mask(side: list, count: int, field: str) -> int:
 def cmd_feasibility(args: argparse.Namespace) -> int:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
     clients = list(topology.clients) if args.clients is None else args.clients.split(",")
-    try:
+    with _naming("--clients"):
         check_clients(topology, clients)
-    except ValueError as exc:
-        raise CliError(f"--clients: {exc}") from exc
 
     def check_n(n: int) -> None:  # client i holds target vertex i
         if n != len(clients):
@@ -108,13 +116,11 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     masks = None
     if args.bipartitions is not None:
         sides = _load_json(args.bipartitions, json.loads, "bipartition list")
-        try:
+        with _naming(f"{args.bipartitions}: bad bipartition list"):
             sides = require_type(sides, list, "bipartitions", "a list of index lists")
             masks = [_a_mask(side, len(clients), f"bipartitions[{k}]") for k, side in enumerate(sides)]
             if not masks:
                 raise ValueError("the list is empty, so nothing would be checked")
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{args.bipartitions}: bad bipartition list: {exc}") from exc
     verdict = feasibility(topology, clients, target, bipartition_list=masks)
     _emit(verdict.to_json() if args.compact else _dump(verdict.as_dict()), args.out)
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
@@ -135,7 +141,8 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
     if args.weight_cap < 1:
         raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
-    return distance(code, args.weight_cap, budget=args.budget)
+    with _naming("--budget"):
+        return distance(code, args.weight_cap, budget=args.budget)
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -171,10 +178,11 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    bound = storage_bound(args.boundary, args.m, args.l, args.k, args.d)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(bound) >= 10**limit:
-        raise CliError(f"--B/--m/--l/--k/--d: storage_bound has more than {limit} digits, too large to print")
+    with _naming("--B/--m/--l/--k/--d"):
+        bound = storage_bound(args.boundary, args.m, args.l, args.k, args.d)
+        if limit and abs(bound) >= 10**limit:
+            raise ValueError(f"storage_bound has more than {limit} digits, too large to print")
     payload = {
         "singleton_max_distance": singleton_max_distance(args.boundary, args.k * args.m),
         "storage_bound": bound,
@@ -217,16 +225,18 @@ def _tree_specs(ns: Sequence[int], ps: Sequence[int]) -> list[RegularTreeSpec]:
     specs = []
     for n in ns:
         for p in ps:
-            specs.append(RegularTreeSpec(n, p))
-            if not _printable(n, p, limit):
-                raise CliError(f"--n/--p: n={n}, p={p} gives a figure of more than {limit} digits, too large to print")
+            with _naming("--n/--p"):
+                specs.append(RegularTreeSpec(n, p))
+                if not _printable(n, p, limit):
+                    raise ValueError(f"n={n}, p={p} gives a figure of more than {limit} digits, too large to print")
     return specs
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     rows = []
     header = "n,p,scheme,latency,memory,channels,p_success"
-    noise = NoiseSpec(args.noise) if args.noise is not None else None
+    with _naming("--noise"):
+        noise = NoiseSpec(args.noise) if args.noise is not None else None
 
     def p_success(channels: int) -> str:
         return "" if noise is None else f"{success_probability(noise, channels):.12g}"
@@ -239,10 +249,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if args.center is not None and args.center not in topology.node_ids:
             raise CliError(f"--center: {args.center!r} is not a node of {args.topology}")
         for scheme in (Scheme.LQC, Scheme.EPR):
-            try:
+            with _naming(args.topology):
                 channels = channel_count(topology, scheme, center=args.center)
-            except ValueError as exc:
-                raise CliError(f"{args.topology}: {exc}") from exc
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
     elif args.center is not None:
         raise CliError("--center needs --topology")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import gf2
 from .pauli import PauliOperator, StabilizerGroup, require_int, require_key, require_type
@@ -63,12 +64,7 @@ class GraphState:
         return cls.from_edges(n, [(0, i) for i in range(1, n)])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (self.rows[u] >> v) & 1
-        ]
+        return [(u, v) for u, v in combinations(range(self.n), 2) if (self.rows[u] >> v) & 1]
 
     def is_connected(self) -> bool:
         seen = 1
@@ -106,27 +102,17 @@ class GraphState:
 
     def to_bitstring(self) -> str:
         """Row-major upper triangle: bit for (u, v) with u < v."""
-        return "".join(
-            "1" if (self.rows[u] >> v) & 1 else "0"
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-        )
+        return "".join(str((self.rows[u] >> v) & 1) for u, v in combinations(range(self.n), 2))
 
     @classmethod
     def from_bitstring(cls, n: int, bits: str) -> GraphState:
         expected = n * (n - 1) // 2
         if len(bits) != expected:
             raise ValueError(f"need {expected} bits for {n} vertices, got {len(bits)}")
-        it = iter(bits)
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                c = next(it)
-                if c == "1":
-                    edges.append((u, v))
-                elif c != "0":
-                    raise ValueError(f"invalid bit {c!r}")
-        return cls.from_edges(n, edges)
+        for c in bits:
+            if c not in "01":
+                raise ValueError(f"invalid bit {c!r}")
+        return cls.from_edges(n, [e for e, c in zip(combinations(range(n), 2), bits) if c == "1"])
 
 
 def bipartitions(n: int) -> Iterator[int]:

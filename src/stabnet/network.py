@@ -13,6 +13,7 @@ bipartition's min-cut is at least the target's entanglement rank across
 it (a necessary condition; no coding strategy is synthesized), so
 `feasibility` streams A-side client masks into a table that ends at the
 first violation: the verdict and its witness are read off the last row.
+A row keeps its A-side mask; its two client lists are read off it.
 Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
 each side, and the sweep runs one flow per such count.
@@ -194,12 +195,24 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
     return flow
 
 
+def _named(clients: Sequence[str], mask: int) -> tuple[str, ...]:
+    return tuple(c for i, c in enumerate(clients) if (mask >> i) & 1)
+
+
 @dataclass(frozen=True)
 class BipartitionReport:
-    a: tuple[str, ...]
-    b: tuple[str, ...]
+    clients: tuple[str, ...]
+    a_mask: int  # bit i puts clients[i] on side A; side B is the rest
     min_cut: int
     required_rank: int
+
+    @property
+    def a(self) -> tuple[str, ...]:
+        return _named(self.clients, self.a_mask)
+
+    @property
+    def b(self) -> tuple[str, ...]:
+        return _named(self.clients, ~self.a_mask)
 
     @property
     def ok(self) -> bool:
@@ -274,7 +287,7 @@ def feasibility(
     beyond that an explicit mask list is required.  Bipartitions that
     differ only by swapping twin clients share one min-cut.
     """
-    clients = list(clients)
+    clients = tuple(clients)
     n = len(clients)
     if n != target.n:
         raise ValueError(f"{n} clients vs target on {target.n} vertices")
@@ -294,17 +307,13 @@ def feasibility(
     twins: dict[frozenset, int] = {}  # neighbour->channel map -> class
     links = (frozenset((head[k], cap[k]) for k in out[index[c]]) for c in clients)
     weights = [(n + 1) ** twins.setdefault(m, len(twins)) for m in links]
-    full = (1 << n) - 1
     cuts: dict[int, int] = {}
     table = []
     for a_mask in bipartition_list:
-        side = list(gf2.set_bits(a_mask))
-        a = tuple(clients[i] for i in side)
-        b = tuple(clients[i] for i in gf2.set_bits(full ^ a_mask))
-        key = sum(weights[i] for i in side)
+        key = sum(weights[i] for i in gf2.set_bits(a_mask))
         if key not in cuts:
-            cuts[key] = min_cut(t, a, b)
-        report = BipartitionReport(a, b, cuts[key], entanglement_rank(target, a_mask))
+            cuts[key] = min_cut(t, _named(clients, a_mask), _named(clients, ~a_mask))
+        report = BipartitionReport(clients, a_mask, cuts[key], entanglement_rank(target, a_mask))
         table.append(report)
         if not report.ok:
             break

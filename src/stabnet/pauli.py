@@ -210,11 +210,7 @@ def _check_commuting(gens: Sequence[PauliOperator], n: int) -> None:
     """Raise on the first anticommuting pair (i < j) in pair-loop order."""
     g = len(gens)
     pairs = g * (g - 1) // 2
-    # a valid generator has at least one letter: when even g letters cost
-    # more than the pairs, skip counting them
-    if pairs <= 2 * _PAIRS_PER_LETTER * g or pairs <= _PAIRS_PER_LETTER * (
-        g + sum(a.x.bit_count() + a.z.bit_count() for a in gens)
-    ):
+    if pairs <= _PAIRS_PER_LETTER * (g + sum(a.x.bit_count() + a.z.bit_count() for a in gens)):
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
                 if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:

@@ -8,8 +8,9 @@ way: every bipartition is listed up front, every cut is a fresh max-flow
 on a dense capacity matrix with each client set merged into one
 terminal, and every block of the adjacency matrix is packed one bit at
 a time.  A bipartition here is a pair of sorted index tuples ``(a, b)``,
-not the package's A-side mask.  Tests require both to render
-byte-identical verdicts.
+not the package's A-side mask; only the rows it reports hold the mask,
+as the package's rows do.  Tests require both to render byte-identical
+verdicts.
 """
 
 from __future__ import annotations
@@ -145,12 +146,7 @@ def feasibility(
     for a, b in bipartition_list:
         mc = min_cut(t, [clients[i] for i in a], [clients[i] for i in b])
         rank = entanglement_rank(target, (a, b))
-        report = BipartitionReport(
-            tuple(clients[i] for i in a),
-            tuple(clients[i] for i in b),
-            mc,
-            rank,
-        )
+        report = BipartitionReport(tuple(clients), sum(1 << i for i in a), mc, rank)
         table.append(report)
         if not report.ok:
             break

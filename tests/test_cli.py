@@ -587,6 +587,41 @@ class TestNumericFields:
         assert f"{path}: bad code: {field} must be an integer, got {value!r}" in err
 
 
+class TestRefusedValuesNameTheOption:
+    """A value the library refuses exits 2 with the option named first."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metrics", "--n", "2", "--p", "2", "--noise", "1.5"], "--noise: p_fail must be in [0, 1], got 1.5"),
+            (["metrics", "--n", "2", "--p", "2", "--noise", "nan"], "--noise: p_fail must be in [0, 1], got nan"),
+            (["metrics", "--n", "1", "--p", "2"], "--n/--p: connectivity n must be >= 2"),
+            (["metrics", "--n", "2", "--p", "0"], "--n/--p: depth p must be >= 1"),
+            (
+                ["code", "bounds", "--B", "2", "--m", "0", "--l", "5", "--k", "1", "--d", "3"],
+                "--B/--m/--l/--k/--d: m must be positive, got 0",
+            ),
+            (
+                ["code", "bounds", "--B", "2", "--m", "3", "--l", "5", "--k", "1", "--d", "3"],
+                "--B/--m/--l/--k/--d: boundary 2 cannot store 3 logical qubits",
+            ),
+            (
+                ["code", "distance", fixture("five_qubit_code.json"), "--budget", "10"],
+                "--budget: 1023 candidates up to weight 5 exceed the budget 10",
+            ),
+            (
+                ["code", "compose", fixture("triangle_composition.json"), "--distance", "--budget", "10"],
+                "--budget: 43443 candidates up to weight 5 exceed the budget 10",
+            ),
+        ],
+        ids=["noise", "noise-nan", "n", "p", "m", "boundary", "distance-budget", "compose-budget"],
+    )
+    def test_refusal_names_the_option(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 class TestNamedEntries:
     """A bad string, group or id in an input file exits 2 naming the file
     and the entry, not just a character position."""

@@ -71,6 +71,20 @@ class TestGraphState:
             bits = GraphState.from_json(json.dumps({"n": n, "bits": g.to_bitstring()}))
             assert edges == bits == GraphState(n, g.rows)
 
+    def test_bitstring_round_trip_on_random_graphs(self, rng):
+        for n in range(1, 13):
+            g = random_graph(rng, n)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]  # row-major upper triangle
+            bits = g.to_bitstring()
+            assert bits == "".join("1" if (g.rows[u] >> v) & 1 else "0" for u, v in pairs)
+            assert g.edges() == [pair for pair, c in zip(pairs, bits) if c == "1"]
+            assert GraphState.from_bitstring(n, bits) == g
+            if n >= 3:
+                i, j = sorted(rng.sample(range(len(bits)), 2))
+                bad = bits[:i] + "2" + bits[i + 1 : j] + "x" + bits[j + 1 :]
+                with pytest.raises(ValueError, match="^invalid bit '2'$"):
+                    GraphState.from_bitstring(n, bad)
+
     def test_bitstring_length_checked(self):
         with pytest.raises(ValueError):
             GraphState.from_bitstring(4, "101")

@@ -287,13 +287,28 @@ class TestFeasibility:
         assert verdict.table[-1] is w and all(r.ok for r in verdict.table[:-1])
 
     def test_verdict_is_read_off_the_table(self):
-        ok, bad = BipartitionReport(("a",), ("b",), 2, 1), BipartitionReport(("a",), ("b",), 1, 2)
+        ok, bad = BipartitionReport(("a", "b"), 0b01, 2, 1), BipartitionReport(("a", "b"), 0b01, 1, 2)
         assert (FeasibilityVerdict(()).feasible, FeasibilityVerdict(()).witness) == (True, None)
         assert (FeasibilityVerdict((ok, ok)).feasible, FeasibilityVerdict((ok, ok)).witness) == (True, None)
         verdict = FeasibilityVerdict((ok, bad))
         assert (verdict.feasible, verdict.witness) == (False, bad)
         assert verdict.as_dict()["witness"] == bad.as_dict()
         assert [f.name for f in dataclasses.fields(FeasibilityVerdict)] == ["table"]
+
+    def test_rows_read_their_sides_off_the_mask(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            clients = tuple(rng.sample([f"q{i}" for i in range(100)], rng.randint(2, 20)))
+            a_mask = rng.randrange(1, (1 << len(clients)) - 1)
+            cut, rank = rng.randint(0, 3), rng.randint(0, 3)
+            row = BipartitionReport(clients, a_mask, cut, rank)
+            assert sorted(row.a + row.b) == sorted(clients)
+            assert [c for c in clients if c in row.a] == list(row.a)
+            assert [c for c in clients if c in row.b] == list(row.b)
+            side = {i for i in range(len(clients)) if (a_mask >> i) & 1}
+            a = [clients[i] for i in sorted(side)]
+            b = [clients[i] for i in range(len(clients)) if i not in side]
+            assert row.as_dict() == {"a": a, "b": b, "min_cut": cut, "required_rank": rank, "ok": cut >= rank}
 
     def test_size_mismatch(self):
         t = star_topology(3)
