@@ -28,7 +28,6 @@ from pathlib import Path
 from .codes import (
     DEFAULT_ENUMERATION_BUDGET,
     CompositionError,
-    EnumerationBudgetError,
     StabilizerCode,
     compose,
     distance,
@@ -74,7 +73,7 @@ def _naming(source: str):
     """A library refusal raised inside the block names ``source``, the option or file at fault."""
     try:
         yield
-    except (ValueError, EnumerationBudgetError) as exc:
+    except ValueError as exc:
         raise CliError(f"{source}: {exc}") from exc
 
 
@@ -86,7 +85,7 @@ def _load_json(path: str, loader, what: str):
         raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
         raise CliError(f"{path}: invalid JSON: nested too deeply") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: bad {what}: {exc}") from exc
 
 
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, EnumerationBudgetError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a bug must not read as a negative verdict

@@ -36,7 +36,7 @@ class CompositionError(RuntimeError):
     """The Bell contraction annihilated the composed code space."""
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     """The distance search would enumerate more candidates than allowed."""
 
 
@@ -173,11 +173,14 @@ def singleton_max_distance(n: int, k: int) -> int:
 
 def storage_bound(boundary: int, m: int, l: int, k: int, d: int) -> int:
     """Distance ceiling for a code composed from m copies of an [[l, k, d]]
-    code whose boundary holds the mk stored qubits."""
+    code whose boundary holds the mk stored qubits.  A triple that breaks
+    the quantum Singleton bound k <= l - 2(d - 1) is refused."""
     for name, value in (("boundary", boundary), ("m", m), ("l", l), ("k", k), ("d", d)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     if k * m > boundary:
         raise ValueError(f"boundary {boundary} cannot store {k * m} logical qubits")
+    if k > l - 2 * (d - 1):
+        raise ValueError(f"no [[{l}, {k}, {d}]] code exists: k > l - 2(d - 1)")
     return (boundary + m * l - 2 * m * (d - 1) - 2 * k * m) // 2 + 1
 

@@ -2,11 +2,11 @@
 
 A topology is a set of labeled nodes (relays and clients) and undirected
 edges carrying an integer channel count (log2 of the edge dimension).
-Its id tuples and its residual arcs (reverse pairs, parallel edges
-merged) are built once, on first use; `hops_from` and `min_cut` share
-the arcs.  `min_cut` is max-flow by BFS augmenting paths from all of one
-client set to the other, stopped once the flow reaches the smaller of
-the two sets' channel totals, which no flow can exceed.
+The checks that walk its nodes set its id tuples; its residual arcs
+(reverse pairs, parallel edges merged) are compiled on the first flow or
+hop count.  `min_cut` is max-flow by BFS augmenting paths from all of
+one client set to the other, returned when a BFS finds no augmenting
+path: that BFS reached the source side of a minimum cut.
 
 A target graph state is single-shot distributable only if every client
 bipartition's min-cut is at least the target's entanglement rank across
@@ -46,7 +46,8 @@ class ArityMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Nodes with relay/client roles; edges carry qubit-channel counts."""
+    """Nodes with relay/client roles; edges carry qubit-channel counts.
+    The checks set ``node_ids``, ``clients`` and ``relays``, in node order."""
 
     nodes: tuple[tuple[str, str], ...]  # (id, role), role in {"relay", "client"}
     edges: tuple[tuple[str, str, int], ...]  # (u, v, channels)
@@ -54,39 +55,29 @@ class NetworkTopology:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple((i, r) for i, r in self.nodes))
         object.__setattr__(self, "edges", tuple((u, v, c) for u, v, c in self.edges))
+        node_ids, clients, relays = [], [], []
         # never str(id): a node 1 and a node "1" would become one node
         for k, (i, role) in enumerate(self.nodes):
             require_type(i, str, f"nodes[{k}].id", "a string")
             if role not in ("relay", "client"):
                 raise ValueError(f'nodes[{k}].role must be "relay" or "client", got {role!r}')
-        roles = dict(self.nodes)
-        if len(roles) != len(self.nodes):
+            node_ids.append(i)
+            (clients if role == "client" else relays).append(i)
+        known = set(node_ids)
+        if len(known) != len(node_ids):
             raise ValueError("duplicate node ids")
+        object.__setattr__(self, "node_ids", tuple(node_ids))
+        object.__setattr__(self, "clients", tuple(clients))
+        object.__setattr__(self, "relays", tuple(relays))
         for k, (u, v, c) in enumerate(self.edges):
             require_type(u, str, f"edges[{k}].u", "a string")
             require_type(v, str, f"edges[{k}].v", "a string")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if u not in roles or v not in roles:
+            if u not in known or v not in known:
                 raise ValueError(f"edge ({u}, {v}) references an unknown node")
             if require_int(c, f"edges[{k}].channels") < 1:
                 raise ValueError(f"edge ({u}, {v}) needs channels >= 1, got {c}")
-
-    @cached_property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(i for i, _ in self.nodes)
-
-    @property
-    def roles(self) -> dict[str, str]:
-        return dict(self.nodes)
-
-    @cached_property
-    def clients(self) -> tuple[str, ...]:
-        return tuple(i for i, r in self.nodes if r == "client")
-
-    @cached_property
-    def relays(self) -> tuple[str, ...]:
-        return tuple(i for i, r in self.nodes if r == "relay")
 
     @cached_property
     def _arcs(self) -> tuple[dict[str, int], list[list[int]], list[int], list[int]]:
@@ -113,6 +104,8 @@ class NetworkTopology:
     def hops_from(self, source: str) -> dict[str, int]:
         """Breadth-first hop count from ``source`` to every node it reaches."""
         index, out, head, _ = self._arcs
+        if source not in index:
+            raise ValueError(f"unknown node {source!r}")
         order = [index[source]]
         hops = {order[0]: 0}
         for u in order:  # appended to while walked: a FIFO queue
@@ -120,8 +113,7 @@ class NetworkTopology:
                 if head[k] not in hops:
                     hops[head[k]] = hops[u] + 1
                     order.append(head[k])
-        ids = self.node_ids
-        return {ids[u]: h for u, h in hops.items()}
+        return {self.node_ids[u]: h for u, h in hops.items()}
 
     def to_json(self) -> str:
         return json.dumps(
@@ -154,7 +146,8 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
     """Minimum summed channel count over node cuts separating ``a`` from ``b``.
 
     Computed as max-flow (BFS augmenting paths) from all of ``a`` at once
-    to any node of ``b`` on the topology's compiled arcs.
+    to any node of ``b`` on the topology's compiled arcs, until a BFS finds
+    no augmenting path: the nodes it reached are the ``a`` side of a minimum cut.
     """
     a, b = set(a), set(b)
     if not a or not b:
@@ -168,10 +161,9 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
 
     sources = [index[q] for q in a]
     sinks = {index[q] for q in b}
-    bound = min(sum(base[k] for i in side for k in out[i]) for side in (sources, sinks))
     cap = base[:]
     flow = 0
-    while flow < bound:
+    while True:
         via = dict.fromkeys(sources, -1)  # node -> the arc that reached it
         queue = sources[:]
         for u in queue:  # appended to while walked: a FIFO queue
@@ -182,7 +174,7 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
                     via[head[k]] = k
                     queue.append(head[k])
         else:  # no augmenting path left
-            break
+            return flow
         path = []
         while via[u] >= 0:
             path.append(via[u])
@@ -192,7 +184,6 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
             cap[k] -= push
             cap[k ^ 1] += push
         flow += push
-    return flow
 
 
 def _named(clients: Sequence[str], mask: int) -> tuple[str, ...]:
@@ -264,9 +255,9 @@ class FeasibilityVerdict:
 
 def check_clients(t: NetworkTopology, clients: Sequence[str]) -> None:
     """Raise ValueError naming the first id that is not a client or repeats."""
-    roles, seen = t.roles, set()
+    known, seen = set(t.clients), set()
     for c in clients:
-        if roles.get(c) != "client":
+        if c not in known:
             raise ValueError(f"{c!r} is not a client node")
         if c in seen:
             raise ValueError(f"client {c!r} is listed twice")
@@ -346,9 +337,9 @@ def to_contraction(
     the client-held qubits.
     """
     convention = BellConvention(convention)
-    roles = t.roles
+    relays = set(t.relays)
     for node in assignment:
-        if roles.get(node) != "relay":
+        if node not in relays:
             raise ValueError(f"assignment for non-relay node {node!r}")
 
     node_states: list[StabilizerGroup] = []

@@ -134,7 +134,7 @@ def feasibility(
     clients = list(clients)
     if len(clients) != target.n:
         raise ValueError(f"{len(clients)} clients vs target on {target.n} vertices")
-    roles = t.roles
+    roles = dict(t.nodes)
     for c in clients:
         if roles.get(c) != "client":
             raise ValueError(f"{c!r} is not a client node")

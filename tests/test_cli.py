@@ -606,6 +606,10 @@ class TestRefusedValuesNameTheOption:
                 "--B/--m/--l/--k/--d: boundary 2 cannot store 3 logical qubits",
             ),
             (
+                ["code", "bounds", "--B", "9", "--m", "3", "--l", "5", "--k", "1", "--d", "4"],
+                "--B/--m/--l/--k/--d: no [[5, 1, 4]] code exists: k > l - 2(d - 1)",
+            ),
+            (
                 ["code", "distance", fixture("five_qubit_code.json"), "--budget", "10"],
                 "--budget: 1023 candidates up to weight 5 exceed the budget 10",
             ),
@@ -614,7 +618,7 @@ class TestRefusedValuesNameTheOption:
                 "--budget: 43443 candidates up to weight 5 exceed the budget 10",
             ),
         ],
-        ids=["noise", "noise-nan", "n", "p", "m", "boundary", "distance-budget", "compose-budget"],
+        ids=["noise", "noise-nan", "n", "p", "m", "boundary", "no-such-code", "distance-budget", "compose-budget"],
     )
     def test_refusal_names_the_option(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -405,6 +405,30 @@ class TestBounds:
         with pytest.raises(ValueError):
             storage_bound(4, 3, 5, 2, 3)
 
+    def test_storage_bound_rejects_codes_past_singleton(self):
+        with pytest.raises(ValueError, match=r"^no \[\[5, 1, 4\]\] code exists: k > l - 2\(d - 1\)$"):
+            storage_bound(9, 3, 5, 1, 4)
+        with pytest.raises(ValueError, match=r"^no \[\[1, 1, 100\]\] code exists"):
+            storage_bound(1, 1, 1, 1, 100)
+        # the positivity and boundary checks still come first
+        with pytest.raises(ValueError, match="^m must be positive"):
+            storage_bound(9, 0, 5, 1, 4)
+        with pytest.raises(ValueError, match="^boundary 2 cannot store 3"):
+            storage_bound(2, 3, 5, 1, 4)
+
+    def test_storage_bound_refuses_or_is_positive(self, rng):
+        # every (B, m, l, k, d) that passes the checks has a bound of at least 1
+        accepted = 0
+        for _ in range(2000):
+            args = [rng.randint(0, top) for top in (30, 4, 12, 4, 6)]
+            try:
+                bound = storage_bound(*args)
+            except ValueError:
+                continue
+            assert bound >= 1, args
+            accepted += 1
+        assert accepted > 300  # the draws reach the formula, not only the refusals
+
     def test_distance_never_exceeds_singleton(self):
         for code in (
             five_qubit_code(),

@@ -120,6 +120,13 @@ class TestTopology:
         assert t.relays == ("hub",)
         # derived once: the same tuples on every access
         assert t.node_ids is t.node_ids and t.clients is t.clients and t.relays is t.relays
+        # a replaced node list is checked again, and sets the views again
+        swapped = dataclasses.replace(t, nodes=(("c0", "relay"), ("hub", "client")) + t.nodes[2:])
+        assert swapped.node_ids == ("c0", "hub", "c1", "c2")
+        assert swapped.clients == ("hub", "c1", "c2")
+        assert swapped.relays == ("c0",)
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            dataclasses.replace(t, nodes=t.nodes + (("c0", "client"),))
         with pytest.raises(ValueError):
             NetworkTopology((("a", "client"),), (("a", "a", 1),))
         with pytest.raises(ValueError):
@@ -225,6 +232,8 @@ class TestMinCut:
             min_cut(t, ["c0"], ["c0", "c1"])
         with pytest.raises(ValueError):
             min_cut(t, ["nope"], ["c0"])
+        with pytest.raises(ValueError, match=r"^unknown node 'nope'$"):
+            t.hops_from("nope")
 
     def test_against_networkx_and_dense_reference(self):
         pytest.importorskip("networkx")
