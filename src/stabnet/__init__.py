@@ -7,7 +7,6 @@ composition.  The tests cross-check them against a dense state-vector oracle.
 """
 
 from .codes import (
-    CompositionError,
     StabilizerCode,
     compose,
     distance,
@@ -46,10 +45,8 @@ from .network import (
     to_contraction,
 )
 from .pauli import (
-    AnticommutingGeneratorsError,
     MinusIdentityError,
     PauliOperator,
-    PauliParseError,
     StabilizerGroup,
     parse_pauli,
 )

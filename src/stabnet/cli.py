@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .codes import (
     DEFAULT_ENUMERATION_BUDGET,
-    CompositionError,
     StabilizerCode,
     compose,
     distance,
@@ -38,7 +37,7 @@ from .contraction import BellConvention, ContractionInstance, Status, contract
 from .graphstate import GraphState, require_bipartition
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
 from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
-from .pauli import require_int, require_type
+from .pauli import MinusIdentityError, require_int, require_type
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -165,7 +164,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
     codes = [StabilizerCode(group) for _, group in placed]
     try:
         composed = compose(codes, inst.pairings, inst.convention)
-    except CompositionError as exc:
+    except MinusIdentityError as exc:
         _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
         return EXIT_NEGATIVE
     if args.distance:

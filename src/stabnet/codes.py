@@ -27,17 +27,9 @@ from .contraction import (
     Status,
     contract,
 )
-from .pauli import StabilizerGroup, letter_rows, require_int, require_key, require_type
+from .pauli import MinusIdentityError, StabilizerGroup, letter_rows, require_int, require_key, require_type
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-
-
-class CompositionError(RuntimeError):
-    """The Bell contraction annihilated the composed code space."""
-
-
-class EnumerationBudgetError(ValueError):
-    """The distance search would enumerate more candidates than allowed."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +62,8 @@ class StabilizerCode:
         for name in ("n", "k", "distance"):
             if name in data:
                 require_int(data[name], name)
+        if data.get("n", 0) < 0:
+            raise ValueError(f"n must be >= 0, got {data['n']}")
         group = StabilizerGroup.from_strings(require_key(data, "generators"), n=data.get("n"))
         if "k" in data and data["k"] != group.n - len(group.generators):
             raise ValueError(
@@ -95,7 +89,8 @@ def compose(
     Qubits are indexed globally: code i occupies the block starting at
     sum of the preceding code sizes.  The composed code lives on the
     unpaired qubits; its logical count is boundary size minus residual
-    generator count.
+    generator count.  Raises :class:`MinusIdentityError` when the
+    contraction annihilates the composed code space.
     """
     inst = ContractionInstance(
         node_states=tuple(c.group for c in codes),
@@ -104,7 +99,7 @@ def compose(
     )
     result = contract(inst)
     if result.status is Status.ANNIHILATED:
-        raise CompositionError("contraction produced -I: empty composed code space")
+        raise MinusIdentityError("contraction produced -I: empty composed code space")
     return StabilizerCode(result.residual)
 
 
@@ -125,9 +120,7 @@ def distance(
     cap = min(weight_cap, n)
     total = sum(comb(n, w) * 3**w for w in range(1, cap + 1))
     if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} candidates up to weight {weight_cap} exceed the budget {budget}"
-        )
+        raise ValueError(f"{total} candidates up to weight {weight_cap} exceed the budget {budget}")
     letters = letter_rows(code.group.generators, n)
     # syndrome -> (qubit, row) of every letter with that syndrome, highest
     # qubit first: the last letters that complete a zero-syndrome candidate

@@ -64,17 +64,6 @@ def bell_group(convention: BellConvention) -> StabilizerGroup:
     return StabilizerGroup.from_strings(_BELL_STABILIZERS[convention])
 
 
-def bell_generators(
-    i: int, j: int, n_total: int, convention: BellConvention
-) -> list[PauliOperator]:
-    """The Bell group's two generators, its qubits 0 and 1 moved to i and j."""
-    ops = []
-    for g in bell_group(convention).generators:
-        x, z = g.x, g.z
-        ops.append(PauliOperator(n_total, (x & 1) << i | (x >> 1) << j, (z & 1) << i | (z >> 1) << j, g.phase))
-    return ops
-
-
 class Status(Enum):
     PURE = "PURE"
     MIXED = "MIXED"
@@ -195,11 +184,13 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     """Residual stabilizer group left on the boundary after Bell projection."""
     n = inst.total_qubits
     boundary = inst.boundary
-    # each node generator shifted by its block's offset, then each pairing's Bell pair
+    # each node generator shifted by its block's offset, then each pairing's
+    # Bell group generators, their qubits 0 and 1 moved to i and j
     blocks = zip(inst.node_states, inst.offsets)
     ops = [PauliOperator(n, g.x << off, g.z << off, g.phase) for group, off in blocks for g in group.generators]
+    bell = bell_group(inst.convention).generators
     for i, j in inst.pairings:
-        ops.extend(bell_generators(i, j, n, inst.convention))
+        ops += (PauliOperator(n, (g.x & 1) << i | (g.x >> 1) << j, (g.z & 1) << i | (g.z >> 1) << j, g.phase) for g in bell)
 
     contracted = ((1 << n) - 1) ^ sum(1 << q for q in boundary)
     columns = symplectic(contracted, contracted, n)

@@ -123,7 +123,8 @@ def channel_count(
     LQC uses every edge channel exactly once.  The EPR baseline sends one
     end-to-end pair per client from a central relay, consuming one
     channel per edge crossed; the center defaults to the relay
-    minimizing the total client hop count (ties broken by node order).
+    minimizing the total client hop count among the relays that reach
+    every client (ties broken by node order).
     """
     scheme = Scheme(scheme)
     if isinstance(t, RegularTreeSpec):
@@ -139,17 +140,12 @@ def _epr_channels(t: NetworkTopology, center: str | None) -> int:
     clients = t.clients
     if not clients:
         raise ValueError("topology has no clients")
-    if center is not None:
-        if center not in t.node_ids:
-            raise ValueError(f"unknown center {center!r}")
-        return _total_hops(t, center, clients)
-    candidates = t.relays or t.node_ids
-    return min(_total_hops(t, relay, clients) for relay in candidates)
-
-
-def _total_hops(t: NetworkTopology, source: str, clients: tuple[str, ...]) -> int:
-    dist = t.hops_from(source)
-    missing = [c for c in clients if c not in dist]
-    if missing:
-        raise ValueError(f"clients unreachable from {source!r}: {missing}")
-    return sum(dist[c] for c in clients)
+    if center is not None and center not in t.node_ids:
+        raise ValueError(f"unknown center {center!r}")
+    candidates = (center,) if center is not None else t.relays or t.node_ids
+    reach = (t.hops_from(source) for source in candidates)
+    totals = [sum(hops[c] for c in clients) for hops in reach if all(c in hops for c in clients)]
+    if not totals:  # name what the first candidate misses
+        missing = [c for c in clients if c not in t.hops_from(candidates[0])]
+        raise ValueError(f"clients unreachable from {candidates[0]!r}: {missing}")
+    return min(totals)

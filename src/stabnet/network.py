@@ -40,10 +40,6 @@ from .pauli import PauliOperator, StabilizerGroup, require_int, require_key, req
 DEFAULT_MAX_CLIENTS = 20
 
 
-class ArityMismatchError(ValueError):
-    """An assigned relay state does not have one qubit per incident channel."""
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """Nodes with relay/client roles; edges carry qubit-channel counts.
@@ -361,11 +357,11 @@ def to_contraction(
         if state is None:
             if not local:
                 continue
-            raise ArityMismatchError(
+            raise ValueError(
                 f"relay {relay!r} with {len(local)} channel halves has no assigned state"
             )
         if state.n != len(local):
-            raise ArityMismatchError(
+            raise ValueError(
                 f"relay {relay!r} has {len(local)} channel halves but its state "
                 f"has {state.n} qubits"
             )

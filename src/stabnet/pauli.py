@@ -48,18 +48,6 @@ _LETTERS = {(str(x), str(z)): letter for letter, (x, z) in _BITS.items()}  # _BI
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-class PauliParseError(ValueError):
-    """Malformed Pauli string; ``position`` indexes the offending character."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} at position {position}")
-        self.position = position
-
-
-class AnticommutingGeneratorsError(ValueError):
-    """A pair of would-be generators anticommutes."""
-
-
 class MinusIdentityError(ValueError):
     """The generated group contains -I (downstream: an annihilated projection)."""
 
@@ -139,14 +127,14 @@ def parse_pauli(text: str, n: int | None = None) -> PauliOperator:
     for i in range(start, len(text)):
         bits = _BITS.get(text[i])
         if bits is None:
-            raise PauliParseError(f"invalid character {text[i]!r}", i)
+            raise ValueError(f"invalid character {text[i]!r} at position {i}")
         x |= bits[0] << count
         z |= bits[1] << count
         count += 1
     if count == 0:
-        raise PauliParseError("empty Pauli string", start)
+        raise ValueError(f"empty Pauli string at position {start}")
     if n is not None and count != n:
-        raise PauliParseError(f"expected {n} letters, found {count}", len(text) - 1)
+        raise ValueError(f"expected {n} letters, found {count} at position {len(text) - 1}")
     return PauliOperator(count, x, z, phase)
 
 
@@ -214,7 +202,7 @@ def _check_commuting(gens: Sequence[PauliOperator], n: int) -> None:
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
                 if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
-                    raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
+                    raise ValueError(f"{a} and {b} anticommute")
         return
     xs, zs = support_masks(gens, n)
     for i, a in enumerate(gens):
@@ -228,21 +216,23 @@ def _check_commuting(gens: Sequence[PauliOperator], n: int) -> None:
         later = anti >> (i + 1)
         if later:
             j = i + (later & -later).bit_length()
-            raise AnticommutingGeneratorsError(f"{a} and {gens[j]} anticommute")
+            raise ValueError(f"{a} and {gens[j]} anticommute")
 
 
 @dataclass(frozen=True)
 class StabilizerGroup:
     """The group its generators generate, kept as the first independent
     occurrence of each direction: under full rank (a code space) or empty
-    at times, never holding -I.  Raises ``ValueError`` on an odd phase or
-    another qubit count, then :class:`AnticommutingGeneratorsError` on the
-    first anticommuting pair (i < j), then :class:`MinusIdentityError`."""
+    at times, never holding -I.  Raises ``ValueError`` on a negative qubit
+    count, an odd phase or another qubit count, then on the first
+    anticommuting pair (i < j), then :class:`MinusIdentityError`."""
 
     n: int
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"qubit count must be >= 0, got {self.n}")
         ops = tuple(self.generators)
         for op in ops:
             if op.phase not in (0, 2):
@@ -274,14 +264,15 @@ class StabilizerGroup:
         try:
             for text in texts:
                 ops.append(parse_pauli(text, n))
+        except ValueError as exc:
+            raise ValueError(f"{field}[{len(ops)}]: {exc}") from exc
+        try:
             if n is None and not ops:
                 raise ValueError("empty generator list needs an explicit qubit count")
             group = cls(ops[0].n if n is None else n, tuple(ops))
             if len(group) != len(ops):
                 raise ValueError("generators are GF(2)-dependent")
             return group
-        except PauliParseError as exc:
-            raise ValueError(f"{field}[{len(ops)}]: {exc}") from exc
         except ValueError as exc:
             raise type(exc)(f"{field}: {exc}") from exc
 

@@ -13,11 +13,7 @@ from __future__ import annotations
 from itertools import combinations, product as iproduct
 from math import comb
 
-from stabnet.codes import (
-    DEFAULT_ENUMERATION_BUDGET,
-    EnumerationBudgetError,
-    StabilizerCode,
-)
+from stabnet.codes import DEFAULT_ENUMERATION_BUDGET, StabilizerCode
 
 
 def distance(
@@ -32,7 +28,7 @@ def distance(
     n = code.n
     total = sum(comb(n, w) * 3**w for w in range(1, min(weight_cap, n) + 1))
     if total > budget:
-        raise EnumerationBudgetError(
+        raise ValueError(
             f"{total} candidates up to weight {weight_cap} exceed the budget {budget}"
         )
     gens = code.group.generators

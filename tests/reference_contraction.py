@@ -15,11 +15,7 @@ import json
 from itertools import combinations
 
 from stabnet.contraction import BellConvention, ContractionInstance
-from stabnet.pauli import (
-    AnticommutingGeneratorsError,
-    MinusIdentityError,
-    PauliOperator,
-)
+from stabnet.pauli import MinusIdentityError, PauliOperator
 
 
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
@@ -89,7 +85,7 @@ def reduce_generators(ops: list[PauliOperator]) -> list[PauliOperator]:
             raise ValueError(f"{op} is not Hermitian with sign +-1")
     for a, b in combinations(ops, 2):
         if not a.commutes_with(b):
-            raise AnticommutingGeneratorsError(f"{a} and {b} anticommute")
+            raise ValueError(f"{a} and {b} anticommute")
     elim = Eliminator()
     kept = []
     for op in ops:

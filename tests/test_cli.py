@@ -481,6 +481,16 @@ class TestMetricsCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {topology}: clients unreachable from 'hub': ['c0']\n"
 
+    def test_isolated_relay_leaves_the_default_center(self, tmp_path, capsys):
+        # a relay that reaches no client used to refuse the EPR row
+        def add_spare(d):
+            d["nodes"].append({"id": "spare", "role": "relay"})
+
+        topology = edited_fixture(tmp_path, "star_topology.json", add_spare)
+        code, out, err = run(capsys, "metrics", "--topology", topology)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [",,LQC,,,5,", ",,EPR,,,5,"]
+
     def test_channel_count_past_float_range(self, capsys):
         # 2**2000 * 2000 channels used to overflow the survival power: exit 3
         code, out, err = run(capsys, "metrics", "--n", "2", "--p", "2000", "--noise", "0.1")
@@ -624,6 +634,18 @@ class TestRefusedValuesNameTheOption:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_negative_qubit_count_names_the_file(self, tmp_path, capsys):
+        # it used to blame --budget for a negative shift count
+        path = tmp_path / "code.json"
+        path.write_text('{"n": -1, "generators": []}')
+        code, out, err = run(capsys, "code", "distance", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad code: n must be >= 0, got -1\n"
+        path.write_text('{"n": 0, "generators": []}')
+        code, out, err = run(capsys, "code", "distance", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["k"] == 0
 
 
 class TestNamedEntries:

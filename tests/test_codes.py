@@ -11,8 +11,6 @@ import dense_oracle as oracle
 import reference_codes as reference
 from stabnet import codes
 from stabnet.codes import (
-    CompositionError,
-    EnumerationBudgetError,
     StabilizerCode,
     compose,
     distance,
@@ -21,7 +19,7 @@ from stabnet.codes import (
     storage_bound,
 )
 from stabnet.contraction import BellConvention
-from stabnet.pauli import PauliOperator, StabilizerGroup, letter_rows, parse_pauli, support_masks
+from stabnet.pauli import MinusIdentityError, PauliOperator, StabilizerGroup, letter_rows, parse_pauli, support_masks
 
 TRIANGLE_PAIRINGS = ((3, 8), (9, 14), (13, 4))
 NINE_QUBIT = [
@@ -73,7 +71,7 @@ def random_ring(rng, pool, m: int):
     convention = rng.choice(list(BellConvention))
     try:
         return compose(members, pairings, convention), convention
-    except CompositionError:
+    except MinusIdentityError:
         return None, convention
 
 
@@ -114,6 +112,16 @@ class TestFiveQubitCode:
         payload["k"] = 2
         with pytest.raises(ValueError):
             StabilizerCode.from_json(json.dumps(payload))
+
+    def test_negative_qubit_count_is_refused(self):
+        # a negative n used to build a group with k = n and reach the
+        # distance search, which failed on a negative shift
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            StabilizerCode.from_json('{"n": -1, "generators": []}')
+        with pytest.raises(ValueError, match=r"^qubit count must be >= 0, got -2$"):
+            StabilizerGroup(-2, ())
+        empty = StabilizerCode.from_json('{"n": 0, "generators": []}')
+        assert (empty.n, empty.k) == (0, 0)
 
 
 class TestCompose:
@@ -162,7 +170,7 @@ class TestCompose:
     def test_annihilating_composition_raises(self):
         plus_bell = StabilizerCode(StabilizerGroup.from_strings(["XX", "ZZ"]))
         edge_bell = StabilizerCode(StabilizerGroup.from_strings(["XZ", "ZX"]))
-        with pytest.raises(CompositionError):
+        with pytest.raises(MinusIdentityError, match=r"^contraction produced -I: empty composed code space$"):
             compose([plus_bell, edge_bell], [(0, 2), (1, 3)])
 
     def test_triangle_code_space_dense(self):
@@ -204,7 +212,7 @@ class TestDistance:
 
     def test_budget_refusal(self):
         code = five_qubit_code()
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(ValueError, match=r"^1023 candidates up to weight 5 exceed the budget 10$"):
             distance(code, 5, budget=10)
 
     def test_sign_flipped_stabilizer_is_not_logical(self):
@@ -329,7 +337,7 @@ class TestMatchesReference:
             total = sum(comb(n, w) * 3**w for w in range(1, min(cap, n) + 1))
             messages = []
             for search in (distance, reference.distance):
-                with pytest.raises(EnumerationBudgetError) as err:
+                with pytest.raises(ValueError, match="exceed the budget") as err:
                     search(code, cap, budget=total - 1)
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
@@ -481,7 +489,7 @@ class TestStorageBoundProperty:
                 continue
             try:
                 comp = compose([code] * m, pairings)
-            except CompositionError:
+            except MinusIdentityError:
                 continue
             if comp.k != k * m:
                 continue

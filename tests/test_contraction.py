@@ -23,7 +23,6 @@ from stabnet.contraction import (
     BellConvention,
     ContractionInstance,
     Status,
-    bell_generators,
     bell_group,
     contract,
 )
@@ -70,11 +69,16 @@ class TestBellConventions:
 
     @pytest.mark.parametrize("i, j, n", [(0, 1, 2), (1, 0, 2), (3, 7, 9), (8, 2, 9)])
     def test_generators_keep_their_bit_patterns(self, i, j, n):
+        # the group on qubits (0, 1), and the reference's placement at (i, j),
+        # which every contract-vs-reference comparison holds contract to
         for conv, patterns in self.BIT_PATTERNS.items():
+            assert list(bell_group(conv).generators) == [
+                PauliOperator(2, x1 | x2 << 1, z1 | z2 << 1) for x1, z1, x2, z2 in patterns
+            ]
             expected = [
                 PauliOperator(n, x1 << i | x2 << j, z1 << i | z2 << j) for x1, z1, x2, z2 in patterns
             ]
-            assert bell_generators(i, j, n, conv) == expected
+            assert reference_contraction.bell_generators(i, j, n, conv) == expected
 
     def test_each_group_is_built_once(self):
         for conv in BellConvention:

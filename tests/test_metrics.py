@@ -13,6 +13,7 @@ from stabnet.metrics import (
     memory_qubits,
     success_probability,
 )
+from stabnet.network import NetworkTopology
 
 
 class TestLatency:
@@ -136,6 +137,18 @@ class TestChannelCount:
         # a mid relay reaches its own 3 clients in 1 hop, the other 6 in 3
         mid = t.relays[1]
         assert channel_count(t, Scheme.EPR, center=mid) == 3 + 6 * 3
+
+    def test_default_center_skips_a_relay_that_misses_clients(self):
+        # an isolated relay used to refuse the whole count; it is passed
+        # over, and only a topology where no relay reaches every client is refused
+        nodes = (("hub", "relay"), ("a", "client"), ("b", "client"), ("spare", "relay"))
+        t = NetworkTopology(nodes, (("hub", "a", 1), ("hub", "b", 1)))
+        assert channel_count(t, Scheme.EPR) == channel_count(t, Scheme.EPR, center="hub") == 2
+        with pytest.raises(ValueError, match=r"^clients unreachable from 'spare': \['a', 'b'\]$"):
+            channel_count(t, Scheme.EPR, center="spare")
+        split = NetworkTopology(nodes, (("hub", "a", 1), ("spare", "b", 1)))
+        with pytest.raises(ValueError, match=r"^clients unreachable from 'hub': \['b'\]$"):
+            channel_count(split, Scheme.EPR)
 
     def test_success_comparison_follows_channel_counts(self):
         spec = RegularTreeSpec(3, 2)

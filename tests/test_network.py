@@ -24,7 +24,6 @@ from stabnet.graphstate import (
     stabilizer_generators,
 )
 from stabnet.network import (
-    ArityMismatchError,
     BipartitionReport,
     FeasibilityVerdict,
     NetworkTopology,
@@ -509,12 +508,12 @@ class TestToContraction:
         t = NetworkTopology(
             nodes=(("r", "relay"), ("c", "client")), edges=(("r", "c", 1),)
         )
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ValueError, match=r"^relay 'r' with 1 channel halves has no assigned state$"):
             to_contraction(t, {})
 
     def test_wrong_size_assignment(self):
         t = star_topology(3)
-        with pytest.raises(ArityMismatchError):
+        with pytest.raises(ValueError, match=r"^relay 'hub' has 3 channel halves but its state has 2 qubits$"):
             to_contraction(t, {"hub": repetition_state(2)})
 
     def test_feasibility_consistent_with_achieved_state(self, rng):

@@ -12,10 +12,8 @@ from stabnet import gf2, pauli
 from stabnet.graphstate import stabilizer_generators
 from stabnet.network import repetition_state
 from stabnet.pauli import (
-    AnticommutingGeneratorsError,
     MinusIdentityError,
     PauliOperator,
-    PauliParseError,
     StabilizerGroup,
     parse_pauli,
     product,
@@ -68,16 +66,15 @@ class TestParse:
             assert parse_pauli(text).to_string() == text
 
     def test_malformed_character_reports_position(self):
-        with pytest.raises(PauliParseError) as exc:
+        with pytest.raises(ValueError, match=r"^invalid character 'Q' at position 2$"):
             parse_pauli("XZQX")
-        assert exc.value.position == 2
-        with pytest.raises(PauliParseError):
+        with pytest.raises(ValueError, match=r"^empty Pauli string at position 0$"):
             parse_pauli("")
-        with pytest.raises(PauliParseError):
+        with pytest.raises(ValueError, match=r"^empty Pauli string at position 1$"):
             parse_pauli("-")
 
     def test_explicit_length_check(self):
-        with pytest.raises(PauliParseError):
+        with pytest.raises(ValueError, match=r"^expected 3 letters, found 2 at position 1$"):
             parse_pauli("XX", n=3)
 
 
@@ -231,7 +228,7 @@ class TestReduceGenerators:
         assert len(StabilizerGroup(5, tuple(ops))) == 1
 
     def test_anticommuting_pair_rejected(self):
-        with pytest.raises(AnticommutingGeneratorsError):
+        with pytest.raises(ValueError, match=r"^\+X and \+Z anticommute$"):
             StabilizerGroup(1, (parse_pauli("X"), parse_pauli("Z")))
 
     def test_minus_identity_flagged(self):
@@ -243,10 +240,10 @@ class TestReduceGenerators:
     def test_anticommutation_reported_before_signs(self):
         # -X repeats +X with the other sign, and Z anticommutes with both
         ops = [parse_pauli(s) for s in ("X", "-X", "Z")]
-        with pytest.raises(AnticommutingGeneratorsError):
+        with pytest.raises(ValueError, match=r"^\+X and \+Z anticommute$"):
             StabilizerGroup(1, tuple(ops))
         ops = [parse_pauli(s) for s in ("XX", "-XX", "ZI")]
-        with pytest.raises(AnticommutingGeneratorsError):
+        with pytest.raises(ValueError, match=r"^\+XX and \+ZI anticommute$"):
             StabilizerGroup(2, tuple(ops))
 
     def test_flipped_dependent_row(self, rng):
@@ -276,7 +273,7 @@ class TestReduceGenerators:
 
 class TestStabilizerGroup:
     def test_rejects_anticommuting(self):
-        with pytest.raises(AnticommutingGeneratorsError):
+        with pytest.raises(ValueError, match=r"^generators: \+XI and \+ZI anticommute$"):
             StabilizerGroup.from_strings(["XI", "ZI"])
 
     def test_rejects_dependent(self):
@@ -374,7 +371,7 @@ class TestQubitCountHonoured:
             StabilizerGroup.from_strings(["XX", "XQ"])
         with pytest.raises(ValueError, match=r"^generators\[0\]: expected 3 letters"):
             StabilizerGroup.from_strings(["XX"], n=3)
-        with pytest.raises(AnticommutingGeneratorsError, match=r"^node_states\[2\]: "):
+        with pytest.raises(ValueError, match=r"^node_states\[2\]: \+XI and \+ZI anticommute$"):
             StabilizerGroup.from_strings(["XI", "ZI"], field="node_states[2]")
         with pytest.raises(ValueError, match=r"^generators: generators are GF\(2\)-dependent"):
             StabilizerGroup.from_strings(["XX", "ZZ", "-YY"])
@@ -542,15 +539,15 @@ class TestCommutationCheckSelection:
         for _ in range(15):
             n = rng.choice([widest + 1, 2 * widest, widest + 5])
             ops = _letter_group(rng, n, g, bits)
-            with pytest.raises(AnticommutingGeneratorsError) as reference:
+            with pytest.raises(ValueError, match="anticommute") as reference:
                 reference_contraction.reduce_generators(ops)
             # the group checks only its kept generators (at most 2n < g here)
-            with pytest.raises(AnticommutingGeneratorsError) as checked:
+            with pytest.raises(ValueError, match="anticommute") as checked:
                 StabilizerGroup(n, tuple(ops))
             assert str(checked.value) == str(reference.value)
             # the check itself, on all g generators, takes the side under test
             calls.clear()
-            with pytest.raises(AnticommutingGeneratorsError) as direct:
+            with pytest.raises(ValueError, match="anticommute") as direct:
                 pauli._check_commuting(ops, n)
             assert str(direct.value) == str(reference.value)
             assert calls == ([g] if side == "masks" else [])
@@ -562,7 +559,7 @@ class TestCommutationCheckSelection:
         ghz = list(repetition_state(n).generators)
         ops = ghz + [product(ghz[:3], n).negated(), parse_pauli("Z" + "I" * (n - 1))]
         calls = self._mask_calls(monkeypatch)
-        with pytest.raises(AnticommutingGeneratorsError, match=r"\+X{40} and \+ZI{39}"):
+        with pytest.raises(ValueError, match=r"\+X{40} and \+ZI{39} anticommute"):
             StabilizerGroup(n, tuple(ops))
         assert calls == [n + 1]  # the 40 kept rows and Z0
         with pytest.raises(MinusIdentityError):
