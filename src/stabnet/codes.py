@@ -64,6 +64,8 @@ class StabilizerCode:
                 require_int(data[name], name)
         if data.get("n", 0) < 0:
             raise ValueError(f"n must be >= 0, got {data['n']}")
+        if data.get("distance", 1) < 1:
+            raise ValueError(f"distance must be >= 1, got {data['distance']}")
         group = StabilizerGroup.from_strings(require_key(data, "generators"), n=data.get("n"))
         if "k" in data and data["k"] != group.n - len(group.generators):
             raise ValueError(

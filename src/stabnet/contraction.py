@@ -8,10 +8,13 @@ operators, each node generator shifted by its block's offset and then
 each pairing's two Bell-pair generators.  The residual is extracted
 without simulating measurements: stack the operators as symplectic rows,
 restrict the rows to the contracted qubit columns, and compute the GF(2)
-kernel.  Each kernel basis vector is materialized as an explicit operator
-product over its set bits so that signs are exact; the products are
-identity on the contracted qubits, and the :class:`StabilizerGroup` built
-from their boundary restrictions, in one elimination, is the residual.
+kernel.  Each row carries its operator through that elimination, the
+node part as an exact product (:func:`stabnet.pauli.times`) and the Bell
+part as its letters, so each kernel basis vector comes back as its
+product with an exact sign, not as a mask to multiply out afterwards.
+The products are identity on the contracted qubits, and the
+:class:`StabilizerGroup` built from their boundary restrictions, in one
+elimination, is the residual.
 
 If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
@@ -37,11 +40,14 @@ from .pauli import (
     MinusIdentityError,
     PauliOperator,
     StabilizerGroup,
+    from_xz_form,
     product,
     require_int,
     require_key,
     require_type,
     symplectic,
+    times,
+    xz_form,
 )
 
 
@@ -184,30 +190,47 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     """Residual stabilizer group left on the boundary after Bell projection."""
     n = inst.total_qubits
     boundary = inst.boundary
+    on_boundary = sum(1 << q for q in boundary)
+    contracted = ((1 << n) - 1) ^ on_boundary
+    columns = symplectic(contracted, contracted, n)
     # each node generator shifted by its block's offset, then each pairing's
-    # Bell group generators, their qubits 0 and 1 moved to i and j
-    blocks = zip(inst.node_states, inst.offsets)
-    ops = [PauliOperator(n, g.x << off, g.z << off, g.phase) for group, off in blocks for g in group.generators]
+    # Bell group generators, their qubits 0 and 1 moved to i and j; a row's
+    # witness is its node part in X-before-Z form, tagged with its Bell
+    # letters as a symplectic row
+    witnesses = []
+    for group, off in zip(inst.node_states, inst.offsets):
+        for g in group.generators:
+            x, z, c, _ = xz_form(g)
+            witnesses.append((x << off, z << off, c, 0))
     bell = bell_group(inst.convention).generators
     for i, j in inst.pairings:
-        ops += (PauliOperator(n, (g.x & 1) << i | (g.x >> 1) << j, (g.z & 1) << i | (g.z >> 1) << j, g.phase) for g in bell)
+        for g in bell:
+            letters = symplectic((g.x & 1) << i | (g.x >> 1) << j, (g.z & 1) << i | (g.z >> 1) << j, n)
+            witnesses.append((0, 0, 0, letters))
+    rows = ((symplectic(x, z, n) ^ letters) & columns for x, z, _, letters in witnesses)
+    kernel = gf2.left_kernel(rows, witnesses, times)
 
-    contracted = ((1 << n) - 1) ^ sum(1 << q for q in boundary)
-    columns = symplectic(contracted, contracted, n)
-    kernel = gf2.left_kernel(op.symplectic_row() & columns for op in ops)
-
+    # The node generators commute, and so do the Bell generators, so a
+    # relation's ordered product is N * B, each accumulated in any order.
+    # On a kernel relation N and B hold the same letters on every contracted
+    # qubit and B is the identity on the boundary, so N * B is sign(B) times
+    # N on the boundary.  B holds a pair's closing element (YY in both
+    # conventions, the only Bell letters with a Y) where it takes both of
+    # the pair's generators, so sign(B) is the closing sign per YY pair.
+    closing = product(bell, 2).phase
     bit_of = {q: 1 << k for k, q in enumerate(boundary)}
     candidates = []
-    for mask in kernel:
-        witness = product((ops[i] for i in gf2.set_bits(mask)), n)
-        if (witness.x | witness.z) & contracted:
+    for witness in kernel:
+        node, letters = from_xz_form(witness, n), witness[3]
+        if node.symplectic_row() & columns != letters:
             raise AssertionError("kernel product is not identity on contracted qubits")
-        x = sum(bit_of[q] for q in gf2.set_bits(witness.x))
-        z = sum(bit_of[q] for q in gf2.set_bits(witness.z))
-        candidates.append(PauliOperator(len(boundary), x, z, witness.phase))
+        yy_pairs = (letters & letters >> n).bit_count() // 2
+        x = sum(bit_of[q] for q in gf2.set_bits(node.x & on_boundary))
+        z = sum(bit_of[q] for q in gf2.set_bits(node.z & on_boundary))
+        candidates.append(PauliOperator(len(boundary), x, z, (node.phase + closing * yy_pairs) % 4))
 
     # validation keeps the pairs disjoint: 2 * len(pairings) paired qubits
-    exponent = 2 * len(inst.pairings) - len(ops) + len(kernel)
+    exponent = 2 * len(inst.pairings) - len(witnesses) + len(kernel)
     try:
         residual = StabilizerGroup(len(boundary), tuple(candidates))
     except MinusIdentityError:

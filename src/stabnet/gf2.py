@@ -2,9 +2,13 @@
 
 A row is a Python integer whose bit ``i`` is column ``i``: word-packed
 storage and word-wise XOR for free.  A rank is a pivot count
-(``rank_packed``, for cut ranks).  ``Eliminator`` tracks witnesses and
-serves the code that reads relations and solves: ``left_kernel``, every
-stabilizer group and the distance search's membership test.
+(``rank_packed``, for cut ranks).  ``Eliminator`` tracks a witness per
+row and serves the code that reads relations and solves: ``left_kernel``,
+every stabilizer group and the distance search's membership test.  A
+witness is by default the row's own bit, combined by XOR into relation
+masks; a caller may pass its own starting witnesses and combine step, and
+``contract`` carries each row's operator product that way, so a kernel
+relation comes back as the product it stands for.
 
 Elimination pivots on the highest set bit of a row.  Which rows are
 independent, and the relation that expresses each dependent row in the
@@ -21,7 +25,9 @@ rows with many set bits scan their binary string once (O(width) in all).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import operator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
 
 
 # The string scan pays for converting the row, so it is slower on rows
@@ -51,45 +57,54 @@ def set_bits(row: int) -> Iterator[int]:
 class Eliminator:
     """Incremental Gaussian elimination with witness tracking.
 
-    Every pivot remembers which of the originally added rows XOR
-    together to produce it, so dependencies come back as explicit
-    combination masks (bit j of a mask = added row j).
+    Every row carries a witness, and every XOR of two rows combines their
+    witnesses with ``combine``.  By default a row's witness is its own bit
+    (bit j = added row j) and ``combine`` is XOR, so each pivot remembers
+    which of the added rows XOR together to produce it, and dependencies
+    come back as explicit relation masks.  A caller may supply its own
+    starting witnesses and ``combine`` to carry something else along the
+    same elimination, such as the operator product a relation stands for.
     """
 
-    __slots__ = ("_pivots", "_n_rows")
+    __slots__ = ("_pivots", "_n_rows", "_combine")
 
-    def __init__(self) -> None:
-        # pivot column + 1 (the row's bit_length) -> (reduced row, witness mask)
-        self._pivots: dict[int, tuple[int, int]] = {}
+    def __init__(self, combine: Callable = operator.xor) -> None:
+        # pivot column + 1 (the row's bit_length) -> (reduced row, witness)
+        self._pivots: dict[int, tuple] = {}
         self._n_rows = 0
+        self._combine = combine
 
-    def _strip(self, row: int, mask: int) -> tuple[int, int]:
+    def _strip(self, row: int, witness):
         pivots = self._pivots
+        combine = self._combine
         while row:
             hit = pivots.get(row.bit_length())
             if hit is None:
                 break
             row ^= hit[0]
-            mask ^= hit[1]
-        return row, mask
+            witness = combine(witness, hit[1])
+        return row, witness
 
-    def add(self, row: int) -> int | None:
-        """Add a row; report a dependency if there is one.
+    def add(self, row: int, witness=None):
+        """Add a row with its witness, by default its own bit; report a
+        dependency if there is one.
 
         Returns None when the row extends the span.  Otherwise returns
-        the relation mask: the set of added rows (own bit included)
-        whose XOR is zero.
+        the combined witness of the rows whose XOR is zero, own row
+        included: by default the relation mask.
         """
-        mask = 1 << self._n_rows
+        if witness is None:
+            witness = 1 << self._n_rows
         self._n_rows += 1
-        row, mask = self._strip(row, mask)
+        row, witness = self._strip(row, witness)
         if row == 0:
-            return mask
-        self._pivots[row.bit_length()] = (row, mask)
+            return witness
+        self._pivots[row.bit_length()] = (row, witness)
         return None
 
     def solve(self, target: int) -> int | None:
-        """Mask of added rows whose XOR equals ``target``, or None."""
+        """Mask of added rows whose XOR equals ``target``, or None (default
+        witnesses only)."""
         row, mask = self._strip(target, 0)
         return mask if row == 0 else None
 
@@ -105,12 +120,16 @@ def rank_packed(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def left_kernel(rows: Iterable[int]) -> list[int]:
-    """Basis of {masks m : XOR of rows selected by m == 0}."""
-    elim = Eliminator()
+def left_kernel(
+    rows: Iterable[int], witnesses: Iterable | None = None, combine: Callable = operator.xor
+) -> list:
+    """Basis of {masks m : XOR of rows selected by m == 0}, as relation
+    masks; given ``witnesses`` (one per row) and their ``combine``, the
+    combined witness of each basis relation instead."""
+    elim = Eliminator(combine)
     kernel = []
-    for row in rows:
-        relation = elim.add(row)
+    for row, witness in zip(rows, repeat(None) if witnesses is None else witnesses):
+        relation = elim.add(row, witness)
         if relation is not None:
             kernel.append(relation)
     return kernel

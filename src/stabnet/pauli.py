@@ -13,8 +13,11 @@ with Y the standard Pauli matrix.  Only this module turns letters into
 bits: ``_BITS`` is the letter table, :func:`symplectic` the row layout,
 and :func:`letter_rows` the distance search's per-qubit X, Y and Z rows
 and syndromes.  The single sign convention used project-wide is ``Y = i
-* X * Z`` (equivalently ``X * Z = -i * Y``); :func:`product` is the one
-place that applies it.
+* X * Z`` (equivalently ``X * Z = -i * Y``).  A product is taken in
+X-before-Z form (:func:`xz_form`, :func:`from_xz_form`), and
+:func:`times`, one step of it, is the one place that applies the
+convention: :func:`product` folds it over a list, and ``contract``
+passes it to the elimination as the combine step of its witnesses.
 Valid stabilizer elements always carry phase 0 (for +1) or 2 (for -1);
 odd phases only occur in intermediate products.  ``n`` may be 0: a
 zero-qubit operator is the scalar ``i**phase``, and ``StabilizerGroup(0,
@@ -157,19 +160,37 @@ def letter_rows(gens: Sequence[PauliOperator], n: int) -> list[tuple[tuple[int, 
     ]
 
 
+def xz_form(op: PauliOperator) -> tuple[int, int, int, int]:
+    """``op`` in X-before-Z form ``(x, z, c, tag)``: the operator ``i**c *
+    X**x * Z**z``, so c = phase + |x & z| by Y = i*X*Z.  The tag, 0 here,
+    is a mask that rides along, combined by XOR (``contract`` carries a
+    row's Bell letters there)."""
+    return op.x, op.z, op.phase + (op.x & op.z).bit_count(), 0
+
+
+def times(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """``a * b`` of two operators in X-before-Z form, tags XORed: moving
+    b's X past a's Z costs (-1)**|z & x'|.  The one place that applies the
+    sign convention to a product."""
+    ax, az, ac, at = a
+    bx, bz, bc, bt = b
+    return ax ^ bx, az ^ bz, ac + bc + 2 * (az & bx).bit_count(), at ^ bt
+
+
+def from_xz_form(a: tuple[int, int, int, int], n: int) -> PauliOperator:
+    """The operator on ``n`` qubits of an X-before-Z form, Y letters restored."""
+    x, z, c, _ = a
+    return PauliOperator(n, x, z, (c - (x & z).bit_count()) % 4)
+
+
 def product(ops: Iterable[PauliOperator], n: int) -> PauliOperator:
     """Ordered product of ``ops``, all on ``n`` qubits, with its exact phase."""
-    # Rewrite each factor in X-before-Z order via Y = i*X*Z (exponent c =
-    # phase + |x & z|); moving a factor's X past the accumulated Z costs
-    # (-1)**|z & x|.  Restore Y letters once at the end.
-    x = z = c = 0
+    acc = (0, 0, 0, 0)
     for op in ops:
         if op.n != n:
             raise ValueError(f"qubit counts differ: {op.n} vs {n}")
-        c += op.phase + (op.x & op.z).bit_count() + 2 * (z & op.x).bit_count()
-        x ^= op.x
-        z ^= op.z
-    return PauliOperator(n, x, z, (c - (x & z).bit_count()) % 4)
+        acc = times(acc, xz_form(op))
+    return from_xz_form(acc, n)
 
 
 def support_masks(ops: Sequence[PauliOperator], n: int) -> tuple[list[int], list[int]]:

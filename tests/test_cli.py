@@ -647,6 +647,13 @@ class TestRefusedValuesNameTheOption:
         assert (code, err) == (0, "")
         assert json.loads(out)["k"] == 0
 
+    def test_distance_below_one_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        path.write_text('{"n": 2, "generators": ["XX", "ZZ"], "distance": -3}')
+        code, out, err = run(capsys, "code", "distance", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad code: distance must be >= 1, got -3\n"
+
 
 class TestNamedEntries:
     """A bad string, group or id in an input file exits 2 naming the file

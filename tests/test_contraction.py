@@ -434,6 +434,20 @@ def fully_paired_instance(rng: random.Random) -> ContractionInstance:
     return ContractionInstance(tuple(nodes), pairings)
 
 
+def _node_meets_bell(inst: ContractionInstance) -> bool:
+    """Whether some node generator anticommutes with some Bell generator."""
+    n = inst.total_qubits
+    nodes = [
+        PauliOperator(n, g.x << off, g.z << off)
+        for group, off in zip(inst.node_states, inst.offsets)
+        for g in group.generators
+    ]
+    bells = [
+        b for i, j in inst.pairings for b in reference_contraction.bell_generators(i, j, n, inst.convention)
+    ]
+    return any(not a.commutes_with(b) for a in nodes for b in bells)
+
+
 def relay_tree(rng: random.Random, n: int, p: int, relays: str, convention):
     """``RegularTreeSpec(n, p)`` lowered with repetition or random
     connected graph-state relays."""
@@ -485,6 +499,23 @@ class TestMatchesReference:
         for counts in seen.values():
             assert counts["empty"] >= 60 and counts[Status.ANNIHILATED] >= 30, seen
             assert counts[Status.MIXED] > 0, seen
+
+    def test_node_and_bell_factors_anticommute(self, rng):
+        # contract multiplies a relation's node factors and Bell factors
+        # apart; where a node generator anticommutes with a Bell generator
+        # on a shared qubit, the residual still equals the reference's,
+        # which multiplies all factors in row order
+        seen = {c: Counter() for c in BellConvention}
+        for k in range(100):
+            base = code_instance(rng) if k % 2 else fully_paired_instance(rng)
+            for convention in BellConvention:
+                inst = ContractionInstance(base.node_states, base.pairings, convention, base.offsets)
+                result = contract(inst)
+                assert result.to_json() == reference_contraction.contract_json(inst)
+                if _node_meets_bell(inst):
+                    seen[convention][result.status] += 1
+        for counts in seen.values():
+            assert all(counts[s] > 0 for s in Status), seen
 
     @pytest.mark.parametrize("convention", list(BellConvention))
     @pytest.mark.parametrize("n, p", [(2, 6), (3, 3)])

@@ -137,6 +137,31 @@ class TestMultiply:
         with pytest.raises(ValueError, match="qubit counts differ"):
             product([parse_pauli("XX"), parse_pauli("X")], 2)
 
+    def test_left_kernel_carries_relation_products(self, rng):
+        # signed elements of a graph-state group commute, so a relation's
+        # product does not depend on the order the elimination meets its
+        # factors in; rows keep the columns of a random subset of the
+        # qubits, so the kernel products are not the identity
+        seen = Counter()
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            gens = stabilizer_generators(random_graph(rng, n)).generators
+            ops = []
+            for _ in range(rng.randint(1, 2 * n)):
+                op = product([g for g in gens if rng.random() < 0.5], n)
+                ops.append(op.negated() if rng.random() < 0.5 else op)
+            kept = rng.getrandbits(n)
+            rows = [op.symplectic_row() & pauli.symplectic(kept, kept, n) for op in ops]
+            masks = gf2.left_kernel(rows)
+            carried = gf2.left_kernel(rows, map(pauli.xz_form, ops), pauli.times)
+            assert len(carried) == len(masks)
+            for mask, witness in zip(masks, carried):
+                expected = product([ops[i] for i in gf2.set_bits(mask)], n)
+                assert pauli.from_xz_form(witness, n) == expected
+                seen["minus"] += expected.phase == 2
+                seen["y"] += (expected.x & expected.z) != 0
+        assert seen["minus"] > 20 and seen["y"] > 20, seen
+
 
 class TestCommutes:
     def test_x_z_anticommute(self):
