@@ -136,22 +136,18 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
 
 
-def _distance(code: StabilizerCode, args: argparse.Namespace) -> int | None:
+def _distance(code: StabilizerCode, args: argparse.Namespace) -> dict:
+    """The payload keys of ``code``'s distance: ``distance``, and a ``note`` when it is past ``--weight-cap``."""
     if args.weight_cap < 1:
         raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
     with _naming("--budget"):
-        return distance(code, args.weight_cap, budget=args.budget)
+        d = distance(code, args.weight_cap, budget=args.budget)
+    return {"distance": d} if d is not None else {"distance": None, "note": f"greater than cap {args.weight_cap}"}
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
     code = _load_json(args.code, StabilizerCode.from_json, "code")
-    d = _distance(code, args)
-    payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap}
-    if d is None:
-        payload["distance"] = None
-        payload["note"] = f"greater than cap {args.weight_cap}"
-    else:
-        payload["distance"] = d
+    payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap, **_distance(code, args)}
     _emit(_dump(payload), args.out)
     return EXIT_OK
 
@@ -167,9 +163,9 @@ def cmd_compose(args: argparse.Namespace) -> int:
     except MinusIdentityError as exc:
         _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
         return EXIT_NEGATIVE
-    if args.distance:
-        composed = StabilizerCode(composed.group, _distance(composed, args))
     payload = composed.as_dict()
+    if args.distance:
+        payload.update(_distance(composed, args))
     payload["convention"] = inst.convention.value
     _emit(_dump(payload), args.out)
     return EXIT_OK

@@ -66,13 +66,16 @@ class StabilizerCode:
             raise ValueError(f"n must be >= 0, got {data['n']}")
         if data.get("distance", 1) < 1:
             raise ValueError(f"distance must be >= 1, got {data['distance']}")
-        group = StabilizerGroup.from_strings(require_key(data, "generators"), n=data.get("n"))
-        if "k" in data and data["k"] != group.n - len(group.generators):
+        code = cls(StabilizerGroup.from_strings(require_key(data, "generators"), n=data.get("n")), data.get("distance"))
+        if "k" in data and data["k"] != code.k:
+            raise ValueError(f"stated k={data['k']} but {code.n - code.k} generators on {code.n} qubits give k={code.k}")
+        most = singleton_max_distance(code.n, code.k)
+        if code.distance is not None and code.distance > most:
             raise ValueError(
-                f"stated k={data['k']} but {len(group.generators)} generators "
-                f"on {group.n} qubits give k={group.n - len(group.generators)}"
+                f"distance {code.distance} breaks the quantum Singleton bound: "
+                f"an [[{code.n}, {code.k}]] code has distance at most {most}"
             )
-        return cls(group, data.get("distance"))
+        return code
 
 
 def five_qubit_code() -> StabilizerCode:

@@ -134,23 +134,38 @@ class TestFeasibilityCommand:
         assert out == ""
         assert err.startswith(f"error: {path}: bad bipartition list: ")
 
-    def test_index_lists_are_sets_in_any_order(self, tmp_path, capsys):
-        # repeats count once, order is free and index 0 may sit on side B
+    @pytest.mark.parametrize(
+        "sides, options, rows",
+        [
+            # repeats count once, order is free and index 0 may sit on side B
+            pytest.param(
+                "[[2, 0, 2], [3, 1]]", [],
+                [(["c0", "c2"], ["c1", "c3", "c4"], 2), (["c1", "c3"], ["c0", "c2", "c4"], 2)],
+                id="any-order",
+            ),
+            # the kite_bipartitions fixture's lists, printed on one line
+            pytest.param(
+                "[[0, 1], [0, 2, 4]]", ["--compact"],
+                [(["c0", "c1"], ["c2", "c3", "c4"], 1), (["c0", "c2", "c4"], ["c1", "c3"], 2)],
+                id="compact",
+            ),
+        ],
+    )
+    def test_index_lists_are_sets_in_any_order(self, tmp_path, capsys, sides, options, rows):
         path = tmp_path / "parts.json"
-        path.write_text("[[2, 0, 2], [3, 1]]")
+        path.write_text(sides)
         code, out, _ = run(
             capsys,
             "feasibility",
             "--topology", fixture("star_topology.json"),
             "--target", fixture("kite_target.json"),
             "--bipartitions", str(path),
+            *options,
         )
         assert code == 0
+        assert (len(out.splitlines()) == 1) == bool(options)
         table = json.loads(out)["table"]
-        assert [(r["a"], r["b"]) for r in table] == [
-            (["c0", "c2"], ["c1", "c3", "c4"]),
-            (["c1", "c3"], ["c0", "c2", "c4"]),
-        ]
+        assert [(r["a"], r["b"], r["required_rank"]) for r in table] == rows
 
     @pytest.mark.parametrize(
         "clients, message",
@@ -298,8 +313,16 @@ class TestCodeCommand:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["distance"] is None
-        assert "greater than cap" in data["note"]
+        assert (data["distance"], data["note"]) == (None, "greater than cap 2")
+        # compose --distance prints the same keys; it used to drop both
+        code, out, _ = run(
+            capsys,
+            "code", "compose", fixture("triangle_composition.json"),
+            "--distance", "--weight-cap", "2",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["distance"], data["note"]) == (None, "greater than cap 2")
 
     def test_bounds(self, capsys):
         code, out, _ = run(
@@ -697,6 +720,21 @@ class TestNamedEntries:
                 lambda d: d.__setitem__("convention", 5),
                 'bad contraction instance: convention must be "plus-pair" or "graph-edge", got 5',
                 id="instance-convention",
+            ),
+            pytest.param(
+                # a one-block instance placed far past qubit 0
+                ("contract", "--instance"), "swap_chain_instance.json",
+                lambda d: d.update(node_states=[["XX", "ZZ"]], qubit_offsets=[1000000], pairings=[]),
+                "bad contraction instance: node blocks must cover qubits 0..total-1 exactly",
+                id="instance-far-offset",
+            ),
+            pytest.param(
+                # past the quantum Singleton bound k <= n - 2(d - 1): no such code exists
+                ("code", "distance"), "five_qubit_code.json",
+                lambda d: d.update(distance=100),
+                "bad code: distance 100 breaks the quantum Singleton bound: "
+                "an [[5, 1]] code has distance at most 3",
+                id="code-distance-past-singleton",
             ),
             pytest.param(
                 ("code", "compose"), "triangle_composition.json",
