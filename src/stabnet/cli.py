@@ -34,7 +34,7 @@ from .codes import (
     storage_bound,
 )
 from .contraction import BellConvention, ContractionInstance, Status, contract
-from .graphstate import GraphState, require_bipartition
+from .graphstate import GraphState
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
 from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
 from .pauli import MinusIdentityError, require_int, require_type
@@ -89,14 +89,17 @@ def _load_json(path: str, loader, what: str):
 
 
 def _a_mask(side: list, count: int, field: str) -> int:
-    """The A-side mask of a list of client indices, each an int in 0..count-1."""
+    """The A-side mask of a list of client indices, each an int in 0..count-1,
+    that puts some but not all of the clients on side A."""
     mask = 0
     for i in require_type(side, list, field, "a list of client indices"):
         require_int(i, f"index {i!r}")
         if not 0 <= i < count:
             raise ValueError(f"index {i} is not a client index in 0..{count - 1}")
         mask |= 1 << i
-    return require_bipartition(count, mask)
+    if mask in (0, (1 << count) - 1):  # one side of the cut would be empty
+        raise ValueError(f"{field} puts {'no' if mask == 0 else 'every'} client on side A: {side}")
+    return mask
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
@@ -137,9 +140,12 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _distance(code: StabilizerCode, args: argparse.Namespace) -> dict:
-    """The payload keys of ``code``'s distance: ``distance``, and a ``note`` when it is past ``--weight-cap``."""
+    """The payload keys of ``code``'s distance: ``distance``, and a ``note`` when it is past
+    ``--weight-cap`` or, for k = 0, when there is none to search for."""
     if args.weight_cap < 1:
         raise CliError(f"--weight-cap: must be at least 1, got {args.weight_cap}")
+    if code.k == 0:
+        return {"distance": None, "note": "k = 0 has no logical operator"}
     with _naming("--budget"):
         d = distance(code, args.weight_cap, budget=args.budget)
     return {"distance": d} if d is not None else {"distance": None, "note": f"greater than cap {args.weight_cap}"}

@@ -114,7 +114,9 @@ def distance(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | None:
     """Minimum weight of an undetectable logical operator, or None if it
-    exceeds ``weight_cap``.
+    exceeds ``weight_cap``.  A k = 0 code (a stabilizer state) has no
+    logical operator at any weight, so it gets None at every cap, after
+    every candidate up to the cap was tried.
 
     Each weight-w candidate is split into its first w - 1 letters, walked
     with a running syndrome and row, and a last letter looked up by the

@@ -7,7 +7,9 @@ mask (bit i set puts vertex i on A; B is the rest).  Its entanglement
 rank is the GF(2) rank of the adjacency block rows(A) x cols(B), which
 for graph states equals the log2 rank of the reduced density operator
 (the tests cross-check it against a dense state vector and a general
-stabilizer group's rank): the feasibility sweep's one cut rank.
+stabilizer group's rank).  `entanglement_rank` computes one cut's rank
+from scratch, as the feasibility check does for an explicit mask list;
+the exhaustive sweep keeps the same rank up to date mask by mask.
 """
 
 from __future__ import annotations

@@ -16,7 +16,17 @@ first violation: the verdict and its witness are read off the last row.
 A row keeps its A-side mask; its two client lists are read off it.
 Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
-each side, and the sweep runs one flow per such count.
+each side.  Edges are undirected, so cut(A, B) = cut(B, A), and the
+sweep runs one flow per such count up to swapping the sides.
+
+The exhaustive sweep walks the masks in increasing order and keeps each
+row's rank and twin count up to date rather than recomputing them:
+rank(adj[A, B]) = dim(span{adj[u] : u in A} + span{e_u : u in A}) - |A|,
+because the unit rows e_u span exactly what restricting to side B
+forgets.  Moving vertex j to side A inserts two rows, adj[j] and e_j,
+into one set of highest-bit pivots, and moving it back pops them again,
+so no column is ever deleted.  An explicit mask list gets a fresh
+`entanglement_rank` per mask instead.
 
 `to_contraction` realizes the dual picture: every edge channel becomes a
 Bell pair with one half at each endpoint, every relay is assigned a
@@ -28,13 +38,13 @@ survive as the boundary.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
-from .graphstate import GraphState, bipartitions, entanglement_rank, require_bipartition
+from .graphstate import GraphState, entanglement_rank, require_bipartition
 from .pauli import PauliOperator, StabilizerGroup, require_int, require_key, require_type
 
 DEFAULT_MAX_CLIENTS = 20
@@ -272,39 +282,79 @@ def feasibility(
     A-side mask with bit ``i`` set.  The sweep is exhaustive up to
     ``DEFAULT_MAX_CLIENTS`` clients (k clients give 2**(k-1) - 1 rows);
     beyond that an explicit mask list is required.  Bipartitions that
-    differ only by swapping twin clients share one min-cut.
+    differ only by swapping twin clients, or the two sides, share one min-cut.
     """
     clients = tuple(clients)
     n = len(clients)
     if n != target.n:
         raise ValueError(f"{n} clients vs target on {target.n} vertices")
     check_clients(t, clients)
-    if bipartition_list is None:
-        if n > DEFAULT_MAX_CLIENTS:
-            raise ValueError(
-                f"{n} clients exceed the exhaustive sweep cap "
-                f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
-            )
-        bipartition_list = bipartitions(n)
-    else:  # every mask is checked before the first cut runs
-        bipartition_list = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
     # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin
     # count per class, which fixes the cut since side B is the rest.
     index, out, head, cap = t._arcs
     twins: dict[frozenset, int] = {}  # neighbour->channel map -> class
     links = (frozenset((head[k], cap[k]) for k in out[index[c]]) for c in clients)
     weights = [(n + 1) ** twins.setdefault(m, len(twins)) for m in links]
+    if bipartition_list is None:
+        if n > DEFAULT_MAX_CLIENTS:
+            raise ValueError(
+                f"{n} clients exceed the exhaustive sweep cap "
+                f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
+            )
+        rows = _cut_ranks(target.rows, weights)
+    else:  # every mask is checked before the first cut runs
+        masks = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
+        rows = (
+            (a_mask, sum(weights[i] for i in gf2.set_bits(a_mask)), entanglement_rank(target, a_mask))
+            for a_mask in masks
+        )
+    full = sum(weights)  # side B's key: complementary sides cut alike
     cuts: dict[int, int] = {}
     table = []
-    for a_mask in bipartition_list:
-        key = sum(weights[i] for i in gf2.set_bits(a_mask))
+    for a_mask, key, rank in rows:
+        key = min(key, full - key)
         if key not in cuts:
             cuts[key] = min_cut(t, _named(clients, a_mask), _named(clients, ~a_mask))
-        report = BipartitionReport(clients, a_mask, cuts[key], entanglement_rank(target, a_mask))
+        report = BipartitionReport(clients, a_mask, cuts[key], rank)
         table.append(report)
         if not report.ok:
             break
     return FeasibilityVerdict(tuple(table))
+
+
+def _cut_ranks(adjacency: Sequence[int], weights: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """``(a_mask, key, rank)`` for every mask of ``bipartitions(n)``, in its
+    order: ``key`` sums ``weights`` over side A and ``rank`` is the
+    entanglement rank, by the identity in the module docstring.  The masks
+    count up in bits 1..n-1: each step pops the pivots of the set bits it
+    clears, the newest on the stack, and pushes the two rows of the bit it
+    sets, about two inserts and two removals per mask."""
+    n = len(adjacency)
+    pivots: dict[int, int] = {}  # pivot column + 1 -> reduced row
+    added: list[list[int]] = []  # per vertex on side A, newest last: its rows' pivots
+
+    def push(j: int) -> None:
+        keys = []
+        for row in (adjacency[j], 1 << j):
+            while row and (pivot := pivots.get(row.bit_length())) is not None:
+                row ^= pivot
+            if row:
+                pivots[row.bit_length()] = row
+                keys.append(row.bit_length())
+        added.append(keys)
+
+    push(0)
+    a_mask, key = 1, weights[0]
+    for _ in range((1 << (n - 1)) - 1):
+        yield a_mask, key, len(pivots) - a_mask.bit_count()
+        j = (~a_mask & (a_mask + 1)).bit_length() - 1  # the lowest clear bit
+        for i in range(1, j):
+            for k in added.pop():
+                del pivots[k]
+            key -= weights[i]
+        push(j)
+        a_mask = (a_mask + 1) | 1
+        key += weights[j]
 
 
 def repetition_state(num_qubits: int) -> StabilizerGroup:

@@ -132,7 +132,9 @@ class TestFeasibilityCommand:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {path}: bad bipartition list: ")
+        # the entry is named with the list it holds, not as a bit mask
+        word = "every" if side else "no"
+        assert err == f"error: {path}: bad bipartition list: bipartitions[1] puts {word} client on side A: {side}\n"
 
     @pytest.mark.parametrize(
         "sides, options, rows",
@@ -323,6 +325,17 @@ class TestCodeCommand:
         assert code == 0
         data = json.loads(out)
         assert (data["distance"], data["note"]) == (None, "greater than cap 2")
+
+    @pytest.mark.parametrize("budget", [[], ["--budget", "1"]])
+    def test_k_zero_has_no_logical_operator(self, capsys, budget):
+        # the swap chain composes to a Bell pair: a stabilizer state, so no
+        # cap is ever reached and no search runs, not even past a budget
+        code, out, _ = run(
+            capsys, "code", "compose", fixture("swap_chain_instance.json"), "--distance", *budget
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["k"], data["distance"], data["note"]) == (0, None, "k = 0 has no logical operator")
 
     def test_bounds(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -92,6 +93,19 @@ def random_sweep_case(rng):
     if rng.random() < 0.3:
         sides = [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(rng.randint(1, 12))]
     return t, clients, target, sides
+
+
+@pytest.fixture
+def cut_calls(monkeypatch):
+    """The ``(a, b)`` of each ``min_cut`` call that ``feasibility`` makes."""
+    calls = []
+
+    def counted(t, a, b):
+        calls.append((a, b))
+        return min_cut(t, a, b)
+
+    monkeypatch.setattr(stabnet.network, "min_cut", counted)
+    return calls
 
 
 def nx_min_cut(t, a, b):
@@ -372,12 +386,22 @@ class TestFeasibility:
                 with pytest.raises(ValueError, match="some but not all"):
                     feasibility(star_topology(5), clients, GraphState.cycle(5), bipartition_list=masks)
 
-    def test_explicit_list_of_every_mask_matches_sweep(self, rng):
-        for _ in range(20):
+    def test_explicit_list_of_every_mask_matches_sweep(self, rng, cut_calls):
+        # the walked ranks and keys against the per-mask ones: same rows,
+        # the same first violation and the same flows
+        verdicts = Counter()
+        for _ in range(60):
             t, clients, target, _ = random_sweep_case(rng)
             masks = list(range(1, (1 << len(clients)) - 1, 2))
             got = feasibility(t, clients, target, bipartition_list=masks)
-            assert got.as_dict() == feasibility(t, clients, target).as_dict()
+            listed = cut_calls[:]
+            cut_calls.clear()
+            want = feasibility(t, clients, target)
+            assert got.as_dict() == want.as_dict()
+            assert listed == cut_calls
+            cut_calls.clear()
+            verdicts[want.feasible] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
 
 
 class TestMatchesReference:
@@ -397,6 +421,19 @@ class TestMatchesReference:
                 part = reference.split(g.n, gf2.set_bits(m))
                 assert entanglement_rank(g, m) == reference.entanglement_rank(g, part)
 
+    def test_walked_ranks_match_entanglement_rank(self):
+        # a star with one channel per client cuts min(|A|, |B|), never below
+        # a rank, so the table is whole: one walked rank per mask
+        rng = random.Random(12)
+        rows = 0
+        for n in list(range(1, 12)) * 2 + [12]:
+            target = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            verdict = feasibility(star_topology(n), [f"c{i}" for i in range(n)], target)
+            assert [r.a_mask for r in verdict.table] == list(bipartitions(n))
+            assert [r.required_rank for r in verdict.table] == [entanglement_rank(target, m) for m in bipartitions(n)]
+            rows += len(verdict.table)
+        assert rows == 2 * (2**11 - 12) + 2**11 - 1
+
     def test_random_sweeps(self):
         rng = random.Random(0x5EED)
         verdicts = []
@@ -412,7 +449,7 @@ class TestMatchesReference:
             verdicts.append(got.feasible)
         assert 20 < sum(verdicts) < 220
 
-    def test_sixteen_client_mesh(self):
+    def test_sixteen_client_mesh(self, cut_calls):
         """Two clients per relay on an 8-relay mesh whose tree edges carry
         8 channels, so every bipartition passes and the table is whole."""
         rng = random.Random(16)
@@ -429,32 +466,27 @@ class TestMatchesReference:
         want = reference.feasibility(t, t.clients, target)
         assert got.to_json() == want.to_json()
         assert got.feasible and len(got.table) == 2**15 - 1
+        # clients that share a home (one channel each) are twins, so a flow
+        # is fixed by side A's count per home; a count vector and its
+        # complement cut alike, and {nothing, everything} is no bipartition
+        sizes = list(Counter(homes).values())
+        vectors = itertools.product(*(range(s + 1) for s in sizes))
+        classes = {frozenset((v, tuple(s - c for s, c in zip(sizes, v)))) for v in vectors}
+        assert len(cut_calls) == len(classes) - 1 == 3280
 
-    def test_twins_share_one_cut(self, monkeypatch):
-        calls = []
-
-        def counted(t, a, b):
-            calls.append((a, b))
-            return min_cut(t, a, b)
-
-        monkeypatch.setattr(stabnet.network, "min_cut", counted)
+    def test_twins_share_one_cut(self, cut_calls):
         verdict = feasibility(star_topology(6), [f"c{i}" for i in range(6)], GraphState.star(6))
         assert len(verdict.table) == 31
-        assert len(calls) == 5  # one per size of side A: all leaves are twins
+        # all leaves are twins, so a cut is fixed by the size of side A; sizes
+        # 1 and 5 share a flow, as do 2 and 4
+        assert len(cut_calls) == 3
 
-    def test_adjacent_clients_are_not_twins(self, monkeypatch):
-        calls = []
-
-        def counted(t, a, b):
-            calls.append((a, b))
-            return min_cut(t, a, b)
-
+    def test_adjacent_clients_are_not_twins(self, cut_calls):
         t = star_topology(3)
         t = NetworkTopology(t.nodes, t.edges + (("c1", "c2", 1),))
-        monkeypatch.setattr(stabnet.network, "min_cut", counted)
         verdict = feasibility(t, ["c0", "c1", "c2"], GraphState.from_edges(3, [(0, 1), (1, 2)]))
         assert [r.min_cut for r in verdict.table] == [1, 2, 2]
-        assert len(calls) == 3
+        assert len(cut_calls) == 3
 
 
 class TestToContraction:
