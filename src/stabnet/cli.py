@@ -19,10 +19,11 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from .codes import (
@@ -56,11 +57,11 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        Path(out).write_text(text + "\n")
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or each line of an iterable as it comes, ending every line with a newline."""
+    lines = [text] if isinstance(text, str) else text
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
+        stream.writelines(line + "\n" for line in lines)
 
 
 def _dump(payload: dict) -> str:
@@ -218,22 +219,20 @@ def _printable(n: int, p: int, limit: int) -> bool:
     return max(n**p * p, n + 1) < 10**limit
 
 
-def _tree_specs(ns: Sequence[int], ps: Sequence[int]) -> list[RegularTreeSpec]:
-    """The sweep's trees in order, refused at the first with a figure too
-    large to print, before any figure is built."""
+def _check_trees(ns: Sequence[int], ps: Sequence[int]) -> None:
+    """Refuse the sweep at its first tree that is invalid or has a figure
+    too large to print, before any figure is built; no tree is kept."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    specs = []
     for n in ns:
         for p in ps:
             with _naming("--n/--p"):
-                specs.append(RegularTreeSpec(n, p))
+                RegularTreeSpec(n, p)
                 if not _printable(n, p, limit):
                     raise ValueError(f"n={n}, p={p} gives a figure of more than {limit} digits, too large to print")
-    return specs
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    rows = []
+    rows: Iterable[str]
     header = "n,p,scheme,latency,memory,channels,p_success"
     with _naming("--noise"):
         noise = NoiseSpec(args.noise) if args.noise is not None else None
@@ -248,6 +247,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
         if args.center is not None and args.center not in topology.node_ids:
             raise CliError(f"--center: {args.center!r} is not a node of {args.topology}")
+        rows = []
         for scheme in (Scheme.LQC, Scheme.EPR):
             with _naming(args.topology):
                 channels = channel_count(topology, scheme, center=args.center)
@@ -260,12 +260,18 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         missing = "--p" if args.p is None else "--n"
         raise CliError(f"{missing} is required with {tree_options[0]}")
     else:
-        for spec in _tree_specs(_parse_range("--n", args.n), _parse_range("--p", args.p)):
-            for scheme in (Scheme.LQC, Scheme.EPR):
-                channels = channel_count(spec, scheme)
-                figures = ",".join(map(str, (latency(spec, scheme), memory_qubits(spec, scheme), channels)))
-                rows.append(f"{spec.n},{spec.p},{scheme.value},{figures},{p_success(channels)}")
-    _emit("\n".join([header] + rows), args.out)
+        ns, ps = _parse_range("--n", args.n), _parse_range("--p", args.p)
+        _check_trees(ns, ps)
+
+        def tree_rows() -> Iterator[str]:  # one tree at a time: a sweep's rows are written as they come
+            for spec in (RegularTreeSpec(n, p) for n in ns for p in ps):
+                for scheme in (Scheme.LQC, Scheme.EPR):
+                    channels = channel_count(spec, scheme)
+                    figures = ",".join(map(str, (latency(spec, scheme), memory_qubits(spec, scheme), channels)))
+                    yield f"{spec.n},{spec.p},{scheme.value},{figures},{p_success(channels)}"
+
+        rows = tree_rows()
+    _emit(itertools.chain([header], rows), args.out)
     return EXIT_OK
 
 

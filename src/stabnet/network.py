@@ -5,8 +5,9 @@ edges carrying an integer channel count (log2 of the edge dimension).
 The checks that walk its nodes set its id tuples; its residual arcs
 (reverse pairs, parallel edges merged) are compiled on the first flow or
 hop count.  `min_cut` is max-flow by BFS augmenting paths from all of
-one client set to the other, returned when a BFS finds no augmenting
-path: that BFS reached the source side of a minimum cut.
+one client set to the other (`_augment`, the one loop that the sweep
+runs too), returned when a BFS finds no augmenting path: that BFS
+reached the source side of a minimum cut.
 
 A target graph state is single-shot distributable only if every client
 bipartition's min-cut is at least the target's entanglement rank across
@@ -18,6 +19,15 @@ Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
 each side.  Edges are undirected, so cut(A, B) = cut(B, A), and the
 sweep runs one flow per such count up to swapping the sides.
+
+The table keeps one residual flow, and each new count starts from the
+flow the last one left.  That flow is conserved at every node but the
+listed clients, and side B is always side A's complement among them, so
+it is a valid start for augmenting paths from A to B (Ford & Fulkerson):
+its value is side B's net inflow, and the paths found on top of it end
+at the maximum, which is the min cut.  Unlisted clients and relays stay
+transit nodes, and the last BFS, which finds no path, still reaches the
+A side of a minimum cut.
 
 The exhaustive sweep walks the masks in increasing order and keeps each
 row's rank and twin count up to date rather than recomputing them:
@@ -149,7 +159,7 @@ class NetworkTopology:
 
 
 def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
-    """Minimum summed channel count over node cuts separating ``a`` from ``b``.
+    """Minimum summed channel count over edge cuts separating ``a`` from ``b``.
 
     Computed as max-flow (BFS augmenting paths) from all of ``a`` at once
     to any node of ``b`` on the topology's compiled arcs, until a BFS finds
@@ -164,10 +174,14 @@ def min_cut(t: NetworkTopology, a: Iterable[str], b: Iterable[str]) -> int:
     for q in a | b:
         if q not in index:
             raise ValueError(f"unknown node {q!r}")
+    return _augment(out, head, base[:], [index[q] for q in a], {index[q] for q in b})
 
-    sources = [index[q] for q in a]
-    sinks = {index[q] for q in b}
-    cap = base[:]
+
+def _augment(out: list[list[int]], head: list[int], cap: list[int], sources: list[int], sinks: set[int]) -> int:
+    """Push flow from the ``sources`` nodes to the ``sinks`` nodes along BFS
+    augmenting paths on the residual capacities ``cap`` (arc ``k ^ 1``
+    reverses arc ``k``), updated in place, until a BFS finds no augmenting
+    path; return the units pushed."""
     flow = 0
     while True:
         via = dict.fromkeys(sources, -1)  # node -> the arc that reached it
@@ -291,9 +305,9 @@ def feasibility(
     check_clients(t, clients)
     # Twin class j weighs (n + 1) ** j, so side A's weight sum spells its twin
     # count per class, which fixes the cut since side B is the rest.
-    index, out, head, cap = t._arcs
+    index, out, head, base = t._arcs
     twins: dict[frozenset, int] = {}  # neighbour->channel map -> class
-    links = (frozenset((head[k], cap[k]) for k in out[index[c]]) for c in clients)
+    links = (frozenset((head[k], base[k]) for k in out[index[c]]) for c in clients)
     weights = [(n + 1) ** twins.setdefault(m, len(twins)) for m in links]
     if bipartition_list is None:
         if n > DEFAULT_MAX_CLIENTS:
@@ -309,12 +323,16 @@ def feasibility(
             for a_mask in masks
         )
     full = sum(weights)  # side B's key: complementary sides cut alike
+    nodes, every = [index[c] for c in clients], (1 << n) - 1
+    cap = base[:]  # one residual flow for the whole table
     cuts: dict[int, int] = {}
     table = []
     for a_mask, key, rank in rows:
         key = min(key, full - key)
         if key not in cuts:
-            cuts[key] = min_cut(t, _named(clients, a_mask), _named(clients, ~a_mask))
+            sinks = {nodes[i] for i in gf2.set_bits(every ^ a_mask)}
+            held = sum(cap[k] - base[k] for v in sinks for k in out[v])  # side B's net inflow
+            cuts[key] = held + _augment(out, head, cap, [nodes[i] for i in gf2.set_bits(a_mask)], sinks)
         report = BipartitionReport(clients, a_mask, cuts[key], rank)
         table.append(report)
         if not report.ok:

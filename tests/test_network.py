@@ -97,15 +97,23 @@ def random_sweep_case(rng):
 
 @pytest.fixture
 def cut_calls(monkeypatch):
-    """The ``(a, b)`` of each ``min_cut`` call that ``feasibility`` makes."""
+    """The ``(sources, sinks, pushed)`` of each run of the one augmenting
+    loop, which ``min_cut`` and every flow of ``feasibility`` go through:
+    the node indices of the two sides and the units the run pushed."""
     calls = []
+    augment = stabnet.network._augment
 
-    def counted(t, a, b):
-        calls.append((a, b))
-        return min_cut(t, a, b)
+    def counted(out, head, cap, sources, sinks):
+        pushed = augment(out, head, cap, sources, sinks)
+        calls.append((tuple(sources), frozenset(sinks), pushed))
+        return pushed
 
-    monkeypatch.setattr(stabnet.network, "min_cut", counted)
+    monkeypatch.setattr(stabnet.network, "_augment", counted)
     return calls
+
+
+def no_flow(*args):
+    raise AssertionError("a flow ran")
 
 
 def nx_min_cut(t, a, b):
@@ -343,19 +351,13 @@ class TestFeasibility:
             feasibility(t, ["hub", "c0", "c1"], GraphState.cycle(3))
 
     def test_repeated_client_rejected_before_any_cut(self, monkeypatch):
-        def no_cut(t, a, b):
-            raise AssertionError("min_cut ran")
-
-        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        monkeypatch.setattr(stabnet.network, "_augment", no_flow)
         with pytest.raises(ValueError, match="'c1' is listed twice"):
             feasibility(star_topology(3), ["c0", "c1", "c1"], GraphState.cycle(3))
 
     def test_sweep_cap(self, monkeypatch):
         # 21 clients is one past the cap; the refusal comes before any cut
-        def no_cut(t, a, b):
-            raise AssertionError("min_cut ran")
-
-        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        monkeypatch.setattr(stabnet.network, "_augment", no_flow)
         with pytest.raises(ValueError, match="exceed the exhaustive sweep cap 20"):
             feasibility(
                 star_topology(21),
@@ -376,10 +378,7 @@ class TestFeasibility:
     def test_invalid_mask_raises_before_any_cut(self, monkeypatch):
         # an empty side, or a bit past the clients, is a ValueError and
         # never an IndexError, even after a valid mask
-        def no_cut(t, a, b):
-            raise AssertionError("min_cut ran")
-
-        monkeypatch.setattr(stabnet.network, "min_cut", no_cut)
+        monkeypatch.setattr(stabnet.network, "_augment", no_flow)
         clients = [f"c{i}" for i in range(5)]
         for bad in (0, 0b11111, 1 << 5, 1 << 6, 1 << 40, -1):
             for masks in ([bad], [0b11, bad]):
@@ -402,6 +401,35 @@ class TestFeasibility:
             cut_calls.clear()
             verdicts[want.feasible] += 1
         assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+    def test_warm_cuts_equal_fresh_cuts(self):
+        # every flow of a table starts from the flow the one before it left;
+        # each row's cut must still be a flow from zero, with the unlisted
+        # clients as transit nodes.  An empty target passes every row, so
+        # the table is whole.
+        rng = random.Random(22)
+        rows = Counter()
+        for k in range(300):
+            names = [f"q{i}" for i in range(rng.randint(5, 10))]
+            relays = [f"r{i}" for i in range(rng.randint(1, 3))]
+            edges = [(rng.choice(relays), c, rng.randint(1, 3)) for c in names if rng.random() < 0.9]
+            for _ in range(rng.randint(2, 8)):  # client-client edges, and parallel edges
+                u, v = rng.sample(names + relays, 2)
+                edges.append((u, v, rng.randint(1, 3)))
+            rng.shuffle(edges)
+            t = NetworkTopology(tuple((c, "client") for c in names) + tuple((r, "relay") for r in relays), tuple(edges))
+            clients = rng.sample(names, rng.randint(3, min(len(names), 8)))
+            n = len(clients)
+            masks = None
+            if k % 3 == 0:  # every mask and its complement, shuffled
+                masks = list(range(1, (1 << n) - 1))
+                rng.shuffle(masks)
+            verdict = feasibility(t, clients, GraphState.from_edges(n, []), bipartition_list=masks)
+            assert len(verdict.table) == (len(masks) if masks else 2 ** (n - 1) - 1)
+            for row in verdict.table:
+                assert row.min_cut == min_cut(t, row.a, row.b)
+            rows[masks is None] += len(verdict.table)
+        assert rows[True] > 5000 and rows[False] > 5000, rows
 
 
 class TestMatchesReference:
@@ -463,6 +491,7 @@ class TestMatchesReference:
         t = NetworkTopology(tuple(nodes), tuple(edges))
         target = random_graph(rng, 16, 0.3)
         got = feasibility(t, t.clients, target)
+        flows = cut_calls[:]
         want = reference.feasibility(t, t.clients, target)
         assert got.to_json() == want.to_json()
         assert got.feasible and len(got.table) == 2**15 - 1
@@ -472,7 +501,13 @@ class TestMatchesReference:
         sizes = list(Counter(homes).values())
         vectors = itertools.product(*(range(s + 1) for s in sizes))
         classes = {frozenset((v, tuple(s - c for s, c in zip(sizes, v)))) for v in vectors}
-        assert len(cut_calls) == len(classes) - 1 == 3280
+        assert len(flows) == len(classes) - 1 == 3280
+        # each flow starts from the one before it, so it pushes far less
+        # than the same cuts pushed from zero
+        names = t.node_ids
+        fresh = sum(min_cut(t, [names[i] for i in a], [names[i] for i in b]) for a, b, _ in flows)
+        pushed = sum(units for *_, units in flows)
+        assert (pushed, fresh) == (2259, 20248) and 4 * pushed <= fresh
 
     def test_twins_share_one_cut(self, cut_calls):
         verdict = feasibility(star_topology(6), [f"c{i}" for i in range(6)], GraphState.star(6))
