@@ -3,10 +3,12 @@
 Subcommands: ``feasibility`` (min-cut test of a target graph state on a
 topology), ``contract`` (run a contraction instance), ``code`` (compose /
 distance / bounds), ``metrics`` (latency, memory, channel and success
-sweeps as CSV).  Structured results are JSON with sorted keys so reruns
-are byte-identical; exit codes are 0 for success or an affirmative
-verdict, 1 for a negative verdict, 2 for usage or input errors and 3 for
-an internal error (a bug, never a verdict).
+sweeps as CSV).  Each command returns its output, and ``main`` alone
+writes it to stdout or ``--out`` as it goes: JSON with sorted keys so
+reruns are byte-identical, or lines; a refusal comes before the first
+byte.  Exit codes are 0 for success or an affirmative verdict, 1 for a
+negative verdict, 2 for usage or input errors and 3 for an internal
+error (a bug, never a verdict).
 
 File formats are documented in FORMATS.md at the repository root.  Every
 setting is a command-line option, declared once and applied in one place;
@@ -57,15 +59,13 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or each line of an iterable as it comes, ending every line with a newline."""
-    lines = [text] if isinstance(text, str) else text
-    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
-        stream.writelines(line + "\n" for line in lines)
+Output = tuple[dict | Iterable[str], int]  # a JSON document or lines, and the exit code
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _check_printable(value: int, what: str) -> None:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value).bit_length() > 3 * limit and abs(value) >= 10**limit:  # 2**(3 * limit) < 10**limit
+        raise ValueError(f"{what} has more than {limit} digits, too large to print")
 
 
 @contextlib.contextmanager
@@ -103,7 +103,7 @@ def _a_mask(side: list, count: int, field: str) -> int:
     return mask
 
 
-def cmd_feasibility(args: argparse.Namespace) -> int:
+def cmd_feasibility(args: argparse.Namespace) -> Output:
     topology = _load_json(args.topology, NetworkTopology.from_json, "topology")
     clients = list(topology.clients) if args.clients is None else args.clients.split(",")
     with _naming("--clients"):
@@ -124,8 +124,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             if not masks:
                 raise ValueError("the list is empty, so nothing would be checked")
     verdict = feasibility(topology, clients, target, bipartition_list=masks)
-    _emit(verdict.to_json() if args.compact else _dump(verdict.as_dict()), args.out)
-    return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
+    with _naming(args.topology):  # only channel counts of thousands of digits give such a cut
+        _check_printable(max((row.min_cut for row in verdict.table), default=0), "a min_cut")
+    return ([verdict.to_json()] if args.compact else verdict.as_dict()), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
 def _load_instance(path: str, what: str, convention: str | None) -> ContractionInstance:
@@ -134,10 +135,9 @@ def _load_instance(path: str, what: str, convention: str | None) -> ContractionI
     return inst if convention is None else dataclasses.replace(inst, convention=convention)
 
 
-def cmd_contract(args: argparse.Namespace) -> int:
+def cmd_contract(args: argparse.Namespace) -> Output:
     result = contract(_load_instance(args.instance, "contraction instance", args.convention))
-    _emit(_dump(result.as_dict()), args.out)
-    return EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
+    return result.as_dict(), EXIT_NEGATIVE if result.status is Status.ANNIHILATED else EXIT_OK
 
 
 def _distance(code: StabilizerCode, args: argparse.Namespace) -> dict:
@@ -152,14 +152,12 @@ def _distance(code: StabilizerCode, args: argparse.Namespace) -> dict:
     return {"distance": d} if d is not None else {"distance": None, "note": f"greater than cap {args.weight_cap}"}
 
 
-def cmd_distance(args: argparse.Namespace) -> int:
+def cmd_distance(args: argparse.Namespace) -> Output:
     code = _load_json(args.code, StabilizerCode.from_json, "code")
-    payload = {"n": code.n, "k": code.k, "weight_cap": args.weight_cap, **_distance(code, args)}
-    _emit(_dump(payload), args.out)
-    return EXIT_OK
+    return {"n": code.n, "k": code.k, "weight_cap": args.weight_cap, **_distance(code, args)}, EXIT_OK
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
+def cmd_compose(args: argparse.Namespace) -> Output:
     # composition specs are contraction instances whose node states are the
     # codes' generator lists; compose keeps their qubit indices in offset order
     inst = _load_instance(args.spec, "composition spec", args.convention)
@@ -168,29 +166,23 @@ def cmd_compose(args: argparse.Namespace) -> int:
     try:
         composed = compose(codes, inst.pairings, inst.convention)
     except MinusIdentityError as exc:
-        _emit(_dump({"error": str(exc), "status": "ANNIHILATED"}), args.out)
-        return EXIT_NEGATIVE
+        return {"error": str(exc), "status": "ANNIHILATED"}, EXIT_NEGATIVE
     payload = composed.as_dict()
     if args.distance:
         payload.update(_distance(composed, args))
     payload["convention"] = inst.convention.value
-    _emit(_dump(payload), args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def cmd_bounds(args: argparse.Namespace) -> Output:
     with _naming("--B/--m/--l/--k/--d"):
         bound = storage_bound(args.boundary, args.m, args.l, args.k, args.d)
-        if limit and abs(bound) >= 10**limit:
-            raise ValueError(f"storage_bound has more than {limit} digits, too large to print")
-    payload = {
+        _check_printable(bound, "storage_bound")
+    return {
         "singleton_max_distance": singleton_max_distance(args.boundary, args.k * args.m),
         "storage_bound": bound,
         "parameters": {name: getattr(args, name) for name in ("boundary", "m", "l", "k", "d")},
-    }
-    _emit(_dump(payload), args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _parse_range(option: str, text: str) -> Sequence[int]:
@@ -231,7 +223,7 @@ def _check_trees(ns: Sequence[int], ps: Sequence[int]) -> None:
                     raise ValueError(f"n={n}, p={p} gives a figure of more than {limit} digits, too large to print")
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def cmd_metrics(args: argparse.Namespace) -> Output:
     rows: Iterable[str]
     header = "n,p,scheme,latency,memory,channels,p_success"
     with _naming("--noise"):
@@ -271,8 +263,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                     yield f"{spec.n},{spec.p},{scheme.value},{figures},{p_success(channels)}"
 
         rows = tree_rows()
-    _emit(itertools.chain([header], rows), args.out)
-    return EXIT_OK
+    return itertools.chain([header], rows), EXIT_OK
 
 
 @functools.cache  # built on first use, not at import; parsing leaves it unchanged
@@ -347,7 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        output, code = args.func(args)
+        with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as stream:
+            if isinstance(output, dict):  # joined 4096 pieces at a time: never held whole, few writes
+                pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(output)
+                stream.writelines(iter(lambda: "".join(itertools.islice(pieces, 4096)), ""))
+                stream.write("\n")
+            else:
+                stream.writelines(line + "\n" for line in output)
+        return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -210,7 +210,7 @@ def _named(clients: Sequence[str], mask: int) -> tuple[str, ...]:
     return tuple(c for i, c in enumerate(clients) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BipartitionReport:
     clients: tuple[str, ...]
     a_mask: int  # bit i puts clients[i] on side A; side B is the rest

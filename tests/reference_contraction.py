@@ -1,12 +1,13 @@
 """Reference copy of the kernel-product contraction in its first form.
 
-``stabnet.contraction.contract`` builds the same kernel products by
-walking set bits, multiplies with one phase kernel, keys its pivots by
-column and validates the residual group once.  The loops below do the
-same algebra the plain way: they shift through every bit of a kernel
-mask, build a fresh operator at every multiply, key pivots by the power
-of two of the lowest set bit and check every pair of candidates.  Tests
-require both to render byte-identical results.
+``stabnet.contraction.contract`` carries each row's operator through the
+GF(2) elimination, so every kernel vector comes back with its product
+already built, and validates the residual group once.  The loops below
+do the same algebra the plain way: they keep only a relation mask per
+row, multiply each product out afterwards by shifting through every bit
+of its mask, build a fresh operator at every multiply, key pivots by the
+power of two of the lowest set bit and check every pair of candidates.
+Tests require both to render byte-identical results.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Reference copy of the feasibility sweep in its first form.
 
-``stabnet.network.feasibility`` streams the bipartitions, runs max-flow
-on the topology's compiled arc lists, stops each flow at the channel
-bound of the smaller side and reuses one cut for every bipartition that
-only swaps twin clients.  The code below does the same test the plain
+``stabnet.network.feasibility`` streams the bipartitions, keeps one
+residual flow on the topology's compiled arcs, starts each flow from the
+flow the last one left, and reuses one cut for every bipartition that
+only swaps twin clients or the two sides.  The code below does the same test the plain
 way: every bipartition is listed up front, every cut is a fresh max-flow
 on a dense capacity matrix with each client set merged into one
 terminal, and every block of the adjacency matrix is packed one bit at

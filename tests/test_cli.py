@@ -9,6 +9,8 @@ import pytest
 
 from stabnet.cli import build_parser, main
 from stabnet.codes import DEFAULT_ENUMERATION_BUDGET
+from stabnet.graphstate import GraphState
+from stabnet.network import NetworkTopology
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -1147,3 +1149,78 @@ class TestDeterminism:
         assert code == 0
         assert stdout == ""
         assert json.loads(out_path.read_text())["feasible"] is True
+
+
+def star_files(tmp_path, clients, channels=1, parallel=1):
+    """A star topology of ``clients`` clients, each joined to the hub by
+    ``parallel`` edges of ``channels`` channels, and a GHZ-class target."""
+    nodes = (("hub", "relay"),) + tuple((f"c{i}", "client") for i in range(clients))
+    edges = tuple(("hub", f"c{i}", channels) for i in range(clients) for _ in range(parallel))
+    topology, target = tmp_path / "star.json", tmp_path / "ghz.json"
+    topology.write_text(NetworkTopology(nodes, edges).to_json())
+    target.write_text(GraphState.star(clients).to_json())
+    return str(topology), str(target)
+
+
+class TestWriter:
+    """``main`` is the one writer: a command returns its output, which goes
+    to stdout or ``--out`` alike, and a refusal comes before the first byte."""
+
+    @pytest.mark.parametrize(
+        "expected", json.loads((ROOT / "bench" / "expected" / "cli.json").read_text()), ids=lambda e: " ".join(e["argv"][:2])
+    )
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, expected):
+        argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in expected["argv"]]
+        out = tmp_path / "out"
+        assert run(capsys, *argv) == (expected["exit"], expected["stdout"], "")
+        assert run(capsys, *argv, "--out", str(out)) == (expected["exit"], "", "")
+        assert out.read_bytes() == expected["stdout"].encode()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["feasibility", "--topology", "nope.json", "--target", fixture("kite_target.json")], "cannot read nope.json"),
+            (["contract", "--instance", fixture("kite_target.json")], "bad contraction instance"),
+            (["code", "distance", fixture("five_qubit_code.json"), "--weight-cap", "0"], "--weight-cap"),
+            (["code", "compose", fixture("triangle_composition.json"), "--distance", "--budget", "10"], "--budget"),
+            (["code", "bounds", "--B", "9", "--m", "3", "--l", "5", "--k", "1", "--d", "9"], "--B/--m/--l/--k/--d"),
+            (["metrics", "--n", "3", "--p", "1..60000"], "--n/--p"),
+        ],
+        ids=["feasibility", "contract", "distance", "compose", "bounds", "metrics"],
+    )
+    def test_refusal_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run(capsys, *argv, *extra)
+            assert (code, stdout) == (2, "")
+            assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("compact", [[], ["--compact"]])
+    def test_cut_too_large_to_print_is_refused_first(self, tmp_path, capsys, compact):
+        # two parallel edges of 4300 digits give a cut of 4301: the encoder
+        # would refuse it halfway through the table, after the first bytes
+        limit = sys.get_int_max_str_digits()
+        topology, target = star_files(tmp_path, 3, channels=10**limit - 1, parallel=2)
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run(capsys, "feasibility", "--topology", topology, "--target", target, *compact, *extra)
+            assert (code, stdout) == (2, "")
+            assert err == f"error: {topology}: a min_cut has more than {limit} digits, too large to print\n"
+        assert not out.exists()
+
+    def test_feasibility_table_is_encoded_as_it_goes(self, tmp_path, capsys):
+        # the indented document used to be built as one string before it
+        # was written: 5.6 MB here, 1766 MB of RSS at 20 clients
+        topology, target = star_files(tmp_path, 12)
+        out = tmp_path / "verdict.json"
+        build_parser()
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "feasibility", "--topology", topology, "--target", target, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout, err) == (0, "", "")
+        assert peak < 3_000_000
+        assert len(json.loads(out.read_text())["table"]) == 2**11 - 1
