@@ -6,9 +6,10 @@ distance / bounds), ``metrics`` (latency, memory, channel and success
 sweeps as CSV).  Each command returns its output, and ``main`` alone
 writes it to stdout or ``--out`` as it goes: JSON with sorted keys so
 reruns are byte-identical, or lines; a refusal comes before the first
-byte.  Exit codes are 0 for success or an affirmative verdict, 1 for a
-negative verdict, 2 for usage or input errors and 3 for an internal
-error (a bug, never a verdict).
+byte, and a reader that closes stdout early ends the output quietly,
+with the command's own exit code.  Exit codes are 0 for success or an
+affirmative verdict, 1 for a negative verdict, 2 for usage or input
+errors and 3 for an internal error (a bug, never a verdict).
 
 File formats are documented in FORMATS.md at the repository root.  Every
 setting is a command-line option, declared once and applied in one place;
@@ -125,7 +126,7 @@ def cmd_feasibility(args: argparse.Namespace) -> Output:
                 raise ValueError("the list is empty, so nothing would be checked")
     verdict = feasibility(topology, clients, target, bipartition_list=masks)
     with _naming(args.topology):  # only channel counts of thousands of digits give such a cut
-        _check_printable(max((row.min_cut for row in verdict.table), default=0), "a min_cut")
+        _check_printable(max(verdict.table.cuts, default=0), "a min_cut")
     return ([verdict.to_json()] if args.compact else verdict.as_dict()), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
@@ -346,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
                 stream.write("\n")
             else:
                 stream.writelines(line + "\n" for line in output)
+        return code
+    except BrokenPipeError:  # the reader closed the pipe: it wants no more, which is no error
         return code
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ bipartition's min-cut is at least the target's entanglement rank across
 it (a necessary condition; no coding strategy is synthesized), so
 `feasibility` streams A-side client masks into a table that ends at the
 first violation: the verdict and its witness are read off the last row.
-A row keeps its A-side mask; its two client lists are read off it.
+The table keeps columns, not rows: the A-side masks (the exhaustive
+sweep's are `bipartitions(n)`, so they take no storage), the cuts and the
+ranks.  A row's report is built from them when it is read, and its two
+client lists are read off its mask.
 Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
 each side.  Edges are undirected, so cut(A, B) = cut(B, A), and the
@@ -50,7 +53,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
@@ -239,11 +242,45 @@ class BipartitionReport:
         }
 
 
+class ReportTable(Sequence):
+    """A feasibility table kept as columns: ``a_masks[i]``, ``cuts[i]`` and
+    ``ranks[i]`` make row ``i``, and ``len(cuts)`` rows were checked (the
+    mask column may run on past them).  A row's report is built each time
+    it is read; a slice is a tuple of reports, as a tuple's slice is."""
+
+    __slots__ = ("clients", "a_masks", "cuts", "ranks")
+
+    def __init__(self, clients: tuple[str, ...], a_masks: Sequence[int], cuts: list[int], ranks: list[int]) -> None:
+        self.clients, self.a_masks, self.cuts, self.ranks = clients, a_masks, cuts, ranks
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    def __getitem__(self, index):
+        at = range(len(self.cuts))[index]  # raises as a tuple's index would
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, at))
+        return BipartitionReport(self.clients, self.a_masks[at], self.cuts[at], self.ranks[at])
+
+    def __iter__(self) -> Iterator[BipartitionReport]:
+        return map(partial(BipartitionReport, self.clients), self.a_masks, self.cuts, self.ranks)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, ReportTable)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    table: tuple[BipartitionReport, ...]
+    """The checked rows in order, ending at the first violation.  From
+    ``feasibility`` the table keeps columns (a ``ReportTable``) and builds
+    each report when it is read; a tuple of reports reads the same."""
 
-    @property
+    table: Sequence[BipartitionReport]
+
+    @cached_property  # each read of a row builds its report
     def feasible(self) -> bool:
         return not self.table or self.table[-1].ok
 
@@ -315,6 +352,7 @@ def feasibility(
                 f"{n} clients exceed the exhaustive sweep cap "
                 f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
             )
+        masks: Sequence[int] = range(1, (1 << n) - 1, 2)  # bipartitions(n), as a column
         rows = _cut_ranks(target.rows, weights)
     else:  # every mask is checked before the first cut runs
         masks = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
@@ -325,19 +363,21 @@ def feasibility(
     full = sum(weights)  # side B's key: complementary sides cut alike
     nodes, every = [index[c] for c in clients], (1 << n) - 1
     cap = base[:]  # one residual flow for the whole table
-    cuts: dict[int, int] = {}
-    table = []
+    cut_of: dict[int, int] = {}  # a twin key and its complement -> their cut
+    cuts: list[int] = []
+    ranks: list[int] = []
     for a_mask, key, rank in rows:
-        key = min(key, full - key)
-        if key not in cuts:
+        cut = cut_of.get(key)
+        if cut is None:
             sinks = {nodes[i] for i in gf2.set_bits(every ^ a_mask)}
             held = sum(cap[k] - base[k] for v in sinks for k in out[v])  # side B's net inflow
-            cuts[key] = held + _augment(out, head, cap, [nodes[i] for i in gf2.set_bits(a_mask)], sinks)
-        report = BipartitionReport(clients, a_mask, cuts[key], rank)
-        table.append(report)
-        if not report.ok:
+            cut = held + _augment(out, head, cap, [nodes[i] for i in gf2.set_bits(a_mask)], sinks)
+            cut_of[key] = cut_of[full - key] = cut
+        cuts.append(cut)
+        ranks.append(rank)
+        if cut < rank:
             break
-    return FeasibilityVerdict(tuple(table))
+    return FeasibilityVerdict(ReportTable(clients, masks, cuts, ranks))
 
 
 def _cut_ranks(adjacency: Sequence[int], weights: Sequence[int]) -> Iterator[tuple[int, int, int]]:

@@ -1224,3 +1224,30 @@ class TestWriter:
         assert (code, stdout, err) == (0, "", "")
         assert peak < 3_000_000
         assert len(json.loads(out.read_text())["table"]) == 2**11 - 1
+
+    @pytest.mark.parametrize("command", ["metrics", "feasibility"])
+    def test_closed_reader_ends_the_output_quietly(self, tmp_path, command):
+        # the reader stops after one line, as `| head -1` does, and the rest
+        # (1.1 MB and 0.6 MB, past a default pipe buffer) is not wanted: the
+        # command's own exit code stands and nothing reaches stderr, not even
+        # at interpreter exit
+        if command == "metrics":
+            argv, first = ["metrics", "--n", "2..20000", "--p", "1"], b"n,p,scheme,latency,memory,channels,p_success\n"
+        else:
+            topology, target = star_files(tmp_path, 12)
+            argv, first = ["feasibility", "--topology", topology, "--target", target], b"{\n"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stabnet.cli", *argv],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 0)
+        finally:
+            proc.kill()
+            proc.wait()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -54,6 +55,21 @@ def bottleneck_topology():
             ("d", "r2", 1),
         ),
     )
+
+
+def relay_mesh(rng, clients):
+    """At most two clients per relay, one channel each, on an 8-relay mesh
+    whose tree edges carry 8 channels, so every bipartition passes and the
+    table is whole; with a random target and each client's relay."""
+    relays = [f"r{i}" for i in range(8)]
+    edges = [(relays[rng.randrange(i)], relays[i], 8) for i in range(1, 8)]
+    edges += [("r0", "r7", 2), ("r2", "r5", 1), ("r2", "r5", 3)]
+    homes = relays * 2
+    rng.shuffle(homes)
+    homes = homes[:clients]
+    edges += [(r, f"c{i}", 1) for i, r in enumerate(homes)]
+    nodes = [(r, "relay") for r in relays] + [(f"c{i}", "client") for i in range(clients)]
+    return NetworkTopology(tuple(nodes), tuple(edges)), random_graph(rng, clients, 0.3), homes
 
 
 def random_sweep_case(rng):
@@ -314,7 +330,7 @@ class TestFeasibility:
         assert w is not None
         assert (w.min_cut, w.required_rank) == (1, 2)
         assert set(w.a) == {"a", "b"} and set(w.b) == {"c", "d"}
-        assert verdict.table[-1] is w and all(r.ok for r in verdict.table[:-1])
+        assert verdict.table[-1] == w and all(r.ok for r in verdict.table[:-1])
 
     def test_verdict_is_read_off_the_table(self):
         ok, bad = BipartitionReport(("a", "b"), 0b01, 2, 1), BipartitionReport(("a", "b"), 0b01, 1, 2)
@@ -341,8 +357,8 @@ class TestFeasibility:
             assert row.as_dict() == {"a": a, "b": b, "min_cut": cut, "required_rank": rank, "ok": cut >= rank}
 
     def test_rows_are_slotted(self):
-        # a 20-client table holds 524287 rows: a per-row __dict__ was a
-        # quarter of the sweep's peak
+        # a report is built each time a row is read, and a 20-client table
+        # has 524287 rows: a reader that keeps them should not pay a __dict__ each
         row = BipartitionReport(("a", "b", "c"), 0b001, 1, 2)
         assert not hasattr(row, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -350,6 +366,43 @@ class TestFeasibility:
         bumped = dataclasses.replace(row, min_cut=row.min_cut + 1)
         assert (bumped.clients, bumped.a_mask, bumped.min_cut, bumped.required_rank) == (("a", "b", "c"), 0b001, 2, 2)
         assert (row.ok, bumped.ok) == (False, True)
+
+    def test_table_reads_agree(self):
+        t, target, _ = relay_mesh(random.Random(10), 10)
+        for masks in (None, [0b1, 0b110, 0b1111100000, 0b101010101]):
+            verdict = feasibility(t, t.clients, target, bipartition_list=masks)
+            table, rows = verdict.table, list(verdict.table)
+            assert len(rows) == len(table) == (len(masks) if masks else 2**9 - 1)
+            assert [r.a_mask for r in rows] == (masks or list(bipartitions(10)))
+            assert [table[i] for i in range(len(table))] == rows == [table[i - len(table)] for i in range(len(table))]
+            assert table[3:40:7] == tuple(rows[3:40:7]) and table[::-1] == tuple(reversed(rows)) and table[:0] == ()
+            for i in (len(table), -len(table) - 1):
+                with pytest.raises(IndexError):
+                    table[i]
+            # bench/reference.py samples rows to check them
+            assert random.Random(1).sample(table, 4) == random.Random(1).sample(rows, 4)
+            assert verdict == FeasibilityVerdict(tuple(rows)) and hash(verdict) == hash(FeasibilityVerdict(tuple(rows)))
+            assert verdict.to_json() == FeasibilityVerdict(tuple(rows)).to_json()
+
+    def test_table_stops_at_the_first_violation(self):
+        # the mask column holds the whole list; the table ends at its second row
+        verdict = feasibility(bottleneck_topology(), list("abcd"), GraphState.cycle(4), bipartition_list=[0b1, 0b11, 0b101])
+        assert [r.a_mask for r in verdict.table] == [0b1, 0b11]
+        assert len(verdict.table) == 2 and verdict.table[-1] == verdict.witness == verdict.table[1]
+
+    def test_table_keeps_columns(self):
+        # 8191 rows: as one report object each, the table held 0.85 MB and
+        # the sweep peaked at 1.04 MB; as columns a row is two list slots
+        t, target, _ = relay_mesh(random.Random(14), 14)
+        feasibility(t, t.clients, target)  # compiles the arcs
+        tracemalloc.start()
+        try:
+            verdict = feasibility(t, t.clients, target)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.feasible and len(verdict.table) == 2**13 - 1
+        assert peak < 600_000 and held < 400_000
 
     def test_size_mismatch(self):
         t = star_topology(3)
@@ -490,18 +543,8 @@ class TestMatchesReference:
         assert 20 < sum(verdicts) < 220
 
     def test_sixteen_client_mesh(self, cut_calls):
-        """Two clients per relay on an 8-relay mesh whose tree edges carry
-        8 channels, so every bipartition passes and the table is whole."""
-        rng = random.Random(16)
-        relays = [f"r{i}" for i in range(8)]
-        edges = [(relays[rng.randrange(i)], relays[i], 8) for i in range(1, 8)]
-        edges += [("r0", "r7", 2), ("r2", "r5", 1), ("r2", "r5", 3)]
-        homes = relays * 2
-        rng.shuffle(homes)
-        edges += [(r, f"c{i}", 1) for i, r in enumerate(homes)]
-        nodes = [(r, "relay") for r in relays] + [(f"c{i}", "client") for i in range(16)]
-        t = NetworkTopology(tuple(nodes), tuple(edges))
-        target = random_graph(rng, 16, 0.3)
+        """Two clients per relay: the whole table."""
+        t, target, homes = relay_mesh(random.Random(16), 16)
         got = feasibility(t, t.clients, target)
         flows = cut_calls[:]
         want = reference.feasibility(t, t.clients, target)
