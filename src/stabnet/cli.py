@@ -4,12 +4,14 @@ Subcommands: ``feasibility`` (min-cut test of a target graph state on a
 topology), ``contract`` (run a contraction instance), ``code`` (compose /
 distance / bounds), ``metrics`` (latency, memory, channel and success
 sweeps as CSV).  Each command returns its output, and ``main`` alone
-writes it to stdout or ``--out`` as it goes: JSON with sorted keys so
-reruns are byte-identical, or lines; a refusal comes before the first
-byte, and a reader that closes stdout early ends the output quietly,
-with the command's own exit code.  Exit codes are 0 for success or an
-affirmative verdict, 1 for a negative verdict, 2 for usage or input
-errors and 3 for an internal error (a bug, never a verdict).
+writes it to stdout or ``--out`` as it goes: a JSON document with sorted
+keys so reruns are byte-identical, or pieces of text (CSV lines, or the
+feasibility document, filled in from the table's columns a batch of rows
+at a time, with the bytes ``json`` would give); a refusal comes before
+the first byte, and a reader that closes stdout early ends the output
+quietly, with the command's own exit code.  Exit codes are 0 for success
+or an affirmative verdict, 1 for a negative verdict, 2 for usage or
+input errors and 3 for an internal error (a bug, never a verdict).
 
 File formats are documented in FORMATS.md at the repository root.  Every
 setting is a command-line option, declared once and applied in one place;
@@ -40,7 +42,7 @@ from .codes import (
 from .contraction import BellConvention, ContractionInstance, Status, contract
 from .graphstate import GraphState
 from .metrics import NoiseSpec, RegularTreeSpec, Scheme, channel_count, latency, memory_qubits, success_probability
-from .network import DEFAULT_MAX_CLIENTS, NetworkTopology, check_clients, feasibility
+from .network import DEFAULT_MAX_CLIENTS, FeasibilityVerdict, NetworkTopology, check_clients, feasibility, subsets
 from .pauli import MinusIdentityError, require_int, require_type
 
 EXIT_OK = 0
@@ -60,7 +62,7 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-Output = tuple[dict | Iterable[str], int]  # a JSON document or lines, and the exit code
+Output = tuple[dict | Iterable[str], int]  # a JSON document or pieces of text, and the exit code
 
 
 def _check_printable(value: int, what: str) -> None:
@@ -127,7 +129,53 @@ def cmd_feasibility(args: argparse.Namespace) -> Output:
     verdict = feasibility(topology, clients, target, bipartition_list=masks)
     with _naming(args.topology):  # only channel counts of thousands of digits give such a cut
         _check_printable(max(verdict.table.cuts, default=0), "a min_cut")
-    return ([verdict.to_json()] if args.compact else verdict.as_dict()), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
+    return feasibility_document(verdict, args.compact), EXIT_OK if verdict.feasible else EXIT_NEGATIVE
+
+
+ROW_BATCH = 1024  # table rows per written piece
+
+
+def feasibility_document(verdict: FeasibilityVerdict, compact: bool = False) -> Iterator[str]:
+    """A verdict of ``feasibility`` as ``json.dumps(document, indent=2,
+    sort_keys=True)`` writes it (``indent=None`` when ``compact``), and a
+    newline, in pieces of ``ROW_BATCH`` rows filled in from the columns of
+    its table (a ``ReportTable``).  The document holds ``feasible``,
+    ``note``, ``table`` (each row's ``a`` and ``b`` client lists,
+    ``min_cut``, ``ok`` and ``required_rank``) and, when infeasible,
+    ``witness``: the last row.  Each client id is encoded once, with
+    ``json.dumps``'s defaults, and a side's list is joined from
+    ``subsets`` of the encoded ids."""
+    table = verdict.table
+    names, every = subsets(tuple(map(json.dumps, table.clients))), (1 << len(table.clients)) - 1
+
+    def newline(depth: int) -> str:  # what follows an opening bracket at this depth
+        return "" if compact else "\n" + " " * depth
+
+    def comma(depth: int) -> str:
+        return "," + (newline(depth) or " ")
+
+    def rows(depth: int, a_masks: Iterable[int], cuts: Iterable[int], ranks: Iterable[int]) -> str:
+        """Rows whose braces sit at ``depth``, joined as the items of a list there."""
+        key, item, names_at = newline(depth + 2), comma(depth + 2), newline(depth + 4)
+        row = (
+            f'{{{key}"a": [{names_at}%s{key}]{item}"b": [{names_at}%s{key}]{item}'
+            f'"min_cut": %d{item}"ok": %s{item}"required_rank": %d{newline(depth)}}}'
+        )
+        between = comma(depth + 4)
+        return comma(depth).join(
+            row % (between.join(names(a)), between.join(names(every ^ a)), cut, "true" if cut >= rank else "false", rank)
+            for a, cut, rank in zip(a_masks, cuts, ranks)
+        )
+
+    feasible, note = json.dumps(verdict.feasible), json.dumps(verdict.note)
+    yield f'{{{newline(2)}"feasible": {feasible}{comma(2)}"note": {note}{comma(2)}"table": ['
+    for start in range(0, len(table), ROW_BATCH):  # the mask column may run on past the checked rows
+        stop = start + ROW_BATCH
+        yield (comma(4) if start else newline(4)) + rows(4, table.a_masks[start:stop], table.cuts[start:stop], table.ranks[start:stop])
+    tail = newline(2) + "]" if len(table) else "]"
+    if (w := verdict.witness) is not None:
+        tail += f'{comma(2)}"witness": ' + rows(2, [w.a_mask], [w.min_cut], [w.required_rank])
+    yield tail + newline(0) + "}\n"
 
 
 def _load_instance(path: str, what: str, convention: str | None) -> ContractionInstance:
@@ -264,7 +312,7 @@ def cmd_metrics(args: argparse.Namespace) -> Output:
                     yield f"{spec.n},{spec.p},{scheme.value},{figures},{p_success(channels)}"
 
         rows = tree_rows()
-    return itertools.chain([header], rows), EXIT_OK
+    return (line + "\n" for line in itertools.chain([header], rows)), EXIT_OK
 
 
 @functools.cache  # built on first use, not at import; parsing leaves it unchanged
@@ -346,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
                 stream.writelines(iter(lambda: "".join(itertools.islice(pieces, 4096)), ""))
                 stream.write("\n")
             else:
-                stream.writelines(line + "\n" for line in output)
+                stream.writelines(output)
         return code
     except BrokenPipeError:  # the reader closed the pipe: it wants no more, which is no error
         return code

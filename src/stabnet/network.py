@@ -17,7 +17,8 @@ first violation: the verdict and its witness are read off the last row.
 The table keeps columns, not rows: the A-side masks (the exhaustive
 sweep's are `bipartitions(n)`, so they take no storage), the cuts and the
 ranks.  A row's report is built from them when it is read, and its two
-client lists are read off its mask.
+client lists are read off its mask by `subsets`: two table lookups up to
+20 clients, not a walk over every client.
 Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
 each side.  Edges are undirected, so cut(A, B) = cut(B, A), and the
@@ -51,9 +52,9 @@ survive as the boundary.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 from . import gf2
 from .contraction import BellConvention, ContractionInstance, bell_group
@@ -209,8 +210,36 @@ def _augment(out: list[list[int]], head: list[int], cap: list[int], sources: lis
         flow += push
 
 
-def _named(clients: Sequence[str], mask: int) -> tuple[str, ...]:
-    return tuple(c for i, c in enumerate(clients) if (mask >> i) & 1)
+_SUBSET_BITS = 10  # items per subset table: 1024 subsets each, two tables up to 20 clients
+
+
+@lru_cache(maxsize=16)  # keyed on the items: a few client tuples are read at a time
+def subsets(items: tuple) -> Callable[[int], tuple]:
+    """``subsets(items)(mask)`` is the tuple of ``items[i]`` for the set bits
+    ``i`` of ``mask``, in order; bits past the items are ignored.  The items
+    are split into runs of at most ``_SUBSET_BITS``, and each run gets a
+    table of its subsets indexed by mask, so a lookup per run, concatenated,
+    replaces a walk over every item."""
+    runs = max(1, -(-len(items) // _SUBSET_BITS))
+    width = max(1, -(-len(items) // runs))
+    tables = []
+    for start in range(0, len(items), width):
+        table = [()]
+        for item in items[start : start + width]:  # the subsets holding it follow those that do not
+            table += [found + (item,) for found in table]
+        tables.append(table)
+    first, rest = (tables or [[()]])[0], tables[1:]  # no items: the one empty subset
+    every, low = (1 << len(items)) - 1, (1 << width) - 1
+
+    def select(mask: int) -> tuple:
+        mask &= every
+        found = first[mask & low]
+        for table in rest:
+            mask >>= width
+            found += table[mask & low]
+        return found
+
+    return select
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,24 +251,15 @@ class BipartitionReport:
 
     @property
     def a(self) -> tuple[str, ...]:
-        return _named(self.clients, self.a_mask)
+        return subsets(self.clients)(self.a_mask)
 
     @property
     def b(self) -> tuple[str, ...]:
-        return _named(self.clients, ~self.a_mask)
+        return subsets(self.clients)(~self.a_mask)
 
     @property
     def ok(self) -> bool:
         return self.min_cut >= self.required_rank
-
-    def as_dict(self) -> dict:
-        return {
-            "a": list(self.a),
-            "b": list(self.b),
-            "min_cut": self.min_cut,
-            "required_rank": self.required_rank,
-            "ok": self.ok,
-        }
 
 
 class ReportTable(Sequence):
@@ -295,19 +315,6 @@ class FeasibilityVerdict:
             if self.feasible
             else "min-cut below required entanglement rank"
         )
-
-    def as_dict(self) -> dict:
-        payload = {
-            "feasible": self.feasible,
-            "note": self.note,
-            "table": [r.as_dict() for r in self.table],
-        }
-        if self.witness is not None:
-            payload["witness"] = self.witness.as_dict()
-        return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def check_clients(t: NetworkTopology, clients: Sequence[str]) -> None:

@@ -47,7 +47,9 @@ from dataclasses import dataclass
 from . import gf2
 
 _BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_LETTERS = {(str(x), str(z)): letter for letter, (x, z) in _BITS.items()}  # _BITS read backwards
+# _BITS read backwards, by x + 2z: digit bytes 0x30 + x and 0x30 + z give
+# (0x30 + x) + 2 * (0x30 + z) = 0x90 + x + 2z
+_LETTERS = bytes.maketrans(bytes(range(0x90, 0x94)), b"IXZY")
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -109,10 +111,12 @@ class PauliOperator:
 
     def to_string(self) -> str:
         # bit n pads each binary string to n digits; reversed and without
-        # its "0b1" head, character q is qubit q
-        xs = bin(self.x | 1 << self.n)[:2:-1]
-        zs = bin(self.z | 1 << self.n)[:2:-1]
-        return _PHASE_PREFIX[self.phase] + "".join(map(_LETTERS.__getitem__, zip(xs, zs)))
+        # its "0b1" head, character q is qubit q.  Read as big-endian
+        # integers, the digit bytes b"0"/b"1" add bytewise as x + 2z with
+        # no carry, and one translate turns each sum into its letter.
+        xs = int.from_bytes(bin(self.x | 1 << self.n)[:2:-1].encode(), "big")
+        zs = int.from_bytes(bin(self.z | 1 << self.n)[:2:-1].encode(), "big")
+        return _PHASE_PREFIX[self.phase] + (xs + 2 * zs).to_bytes(self.n, "big").translate(_LETTERS).decode()
 
     def __str__(self) -> str:
         return self.to_string()

@@ -11,10 +11,17 @@ a time.  A bipartition here is a pair of sorted index tuples ``(a, b)``,
 not the package's A-side mask; only the rows it reports hold the mask,
 as the package's rows do.  Tests require both to render byte-identical
 verdicts.
+
+``document`` is the feasibility document in its first form: a dict per
+row, each side's client list read off the mask client by client, encoded
+by the ``json`` module.  ``stabnet feasibility`` fills its rows into a
+template from the table's columns instead, and tests require the same
+bytes, indented and compact.
 """
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -151,3 +158,29 @@ def feasibility(
         if not report.ok:
             break
     return FeasibilityVerdict(tuple(table))
+
+
+def named(clients: Sequence[str], mask: int) -> list[str]:
+    return [c for i, c in enumerate(clients) if (mask >> i) & 1]
+
+
+def row_dict(r: BipartitionReport) -> dict:
+    return {
+        "a": named(r.clients, r.a_mask),
+        "b": named(r.clients, ~r.a_mask),
+        "min_cut": r.min_cut,
+        "required_rank": r.required_rank,
+        "ok": r.ok,
+    }
+
+
+def verdict_dict(v: FeasibilityVerdict) -> dict:
+    payload = {"feasible": v.feasible, "note": v.note, "table": [row_dict(r) for r in v.table]}
+    if v.witness is not None:
+        payload["witness"] = row_dict(v.witness)
+    return payload
+
+
+def document(v: FeasibilityVerdict, compact: bool = False) -> str:
+    """What ``stabnet feasibility`` writes for ``v``, with ``--compact`` or without."""
+    return json.dumps(verdict_dict(v), indent=None if compact else 2, sort_keys=True) + "\n"

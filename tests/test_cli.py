@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import reference_network as reference
 from stabnet.cli import build_parser, main
 from stabnet.codes import DEFAULT_ENUMERATION_BUDGET
 from stabnet.graphstate import GraphState
-from stabnet.network import NetworkTopology
+from stabnet.network import NetworkTopology, feasibility
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -1224,6 +1225,58 @@ class TestWriter:
         assert (code, stdout, err) == (0, "", "")
         assert peak < 3_000_000
         assert len(json.loads(out.read_text())["table"]) == 2**11 - 1
+
+    @pytest.mark.parametrize("compact", [[], ["--compact"]])
+    def test_feasibility_document_holds_no_row_objects(self, tmp_path, capsys, compact):
+        # 14 clients on a chain of 7 relays, 8191 rows (2.6 MB written, 1.2 MB
+        # compact): with each row's dict and name lists encoded by json the
+        # run peaked at 4.8 MB (8.0 MB compact); with the rows filled in from
+        # the columns, a batch at a time, at 1.2 MB (0.7 MB)
+        nodes = tuple((f"r{i}", "relay") for i in range(7)) + tuple((f"c{i}", "client") for i in range(14))
+        edges = tuple((f"r{i}", f"r{i + 1}", 7) for i in range(6)) + tuple((f"r{i // 2}", f"c{i}", 1) for i in range(14))
+        topology, target, out = tmp_path / "mesh.json", tmp_path / "target.json", tmp_path / "verdict.json"
+        topology.write_text(NetworkTopology(nodes, edges).to_json())
+        target.write_text(GraphState.cycle(14).to_json())
+        build_parser()
+        tracemalloc.start()
+        try:
+            argv = ["feasibility", "--topology", str(topology), "--target", str(target), "--out", str(out), *compact]
+            code, stdout, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout, err) == (0, "", "")
+        assert peak < 2_000_000
+        assert len(json.loads(out.read_text())["table"]) == 2**13 - 1
+
+    @pytest.mark.parametrize("bipartitions", [None, [[0], [0, 1, 2], [0, 1]]], ids=["sweep", "list"])
+    @pytest.mark.parametrize("compact", [[], ["--compact"]])
+    def test_feasibility_document_is_the_json_encoding(self, tmp_path, capsys, compact, bipartitions):
+        # ids that json escapes (quotes, a backslash, a tab, non-ASCII, a
+        # character past the BMP), cuts of 4001 digits, and a one-channel
+        # link between the two hubs: a table that stops at its first
+        # violation and ends with the witness
+        ids = ['say "hi"', "back\\slash", "tab\t", "naïve", "量子", "\U0001F642"]
+        wide = 10**4000
+        nodes = (("hub 0", "relay"), ("hub 1", "relay")) + tuple((c, "client") for c in ids)
+        edges = (("hub 0", "hub 1", 1),) + tuple((f"hub {i // 3}", c, wide) for i, c in enumerate(ids))
+        t, target = NetworkTopology(nodes, edges), GraphState.from_edges(6, [(0, 3), (1, 4), (2, 5)])
+        files = [tmp_path / name for name in ("topology.json", "target.json", "sides.json")]
+        files[0].write_text(t.to_json())
+        files[1].write_text(target.to_json())
+        argv = ["feasibility", "--topology", str(files[0]), "--target", str(files[1]), *compact]
+        masks = None
+        if bipartitions is not None:
+            files[2].write_text(json.dumps(bipartitions))
+            argv += ["--bipartitions", str(files[2])]
+            masks = [sum(1 << i for i in side) for side in bipartitions]
+        verdict = feasibility(t, ids, target, bipartition_list=masks)
+        assert not verdict.feasible and len(verdict.table) == (2 if masks else 4)
+        expected = reference.document(verdict, compact=bool(compact))
+        out = tmp_path / "out"
+        assert run(capsys, *argv) == (1, expected, "")
+        assert run(capsys, *argv, "--out", str(out)) == (1, "", "")
+        assert out.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("command", ["metrics", "feasibility"])
     def test_closed_reader_ends_the_output_quietly(self, tmp_path, command):

@@ -18,6 +18,7 @@ import dense_oracle as oracle
 import reference_network as reference
 import stabnet.network
 from stabnet import gf2
+from stabnet.cli import feasibility_document
 from stabnet.contraction import Status, contract
 from stabnet.graphstate import (
     GraphState,
@@ -338,13 +339,12 @@ class TestFeasibility:
         assert (FeasibilityVerdict((ok, ok)).feasible, FeasibilityVerdict((ok, ok)).witness) == (True, None)
         verdict = FeasibilityVerdict((ok, bad))
         assert (verdict.feasible, verdict.witness) == (False, bad)
-        assert verdict.as_dict()["witness"] == bad.as_dict()
         assert [f.name for f in dataclasses.fields(FeasibilityVerdict)] == ["table"]
 
     def test_rows_read_their_sides_off_the_mask(self):
         rng = random.Random(16)
-        for _ in range(300):
-            clients = tuple(rng.sample([f"q{i}" for i in range(100)], rng.randint(2, 20)))
+        for _ in range(300):  # past 20 clients a side is read from three or more subset tables
+            clients = tuple(rng.sample([f"q{i}" for i in range(100)], rng.randint(2, 45)))
             a_mask = rng.randrange(1, (1 << len(clients)) - 1)
             cut, rank = rng.randint(0, 3), rng.randint(0, 3)
             row = BipartitionReport(clients, a_mask, cut, rank)
@@ -354,7 +354,7 @@ class TestFeasibility:
             side = {i for i in range(len(clients)) if (a_mask >> i) & 1}
             a = [clients[i] for i in sorted(side)]
             b = [clients[i] for i in range(len(clients)) if i not in side]
-            assert row.as_dict() == {"a": a, "b": b, "min_cut": cut, "required_rank": rank, "ok": cut >= rank}
+            assert (row.a, row.b, row.ok) == (tuple(a), tuple(b), cut >= rank)
 
     def test_rows_are_slotted(self):
         # a report is built each time a row is read, and a 20-client table
@@ -382,7 +382,14 @@ class TestFeasibility:
             # bench/reference.py samples rows to check them
             assert random.Random(1).sample(table, 4) == random.Random(1).sample(rows, 4)
             assert verdict == FeasibilityVerdict(tuple(rows)) and hash(verdict) == hash(FeasibilityVerdict(tuple(rows)))
-            assert verdict.to_json() == FeasibilityVerdict(tuple(rows)).to_json()
+            for compact in (False, True):
+                assert "".join(feasibility_document(verdict, compact)) == reference.document(FeasibilityVerdict(tuple(rows)), compact)
+
+    def test_one_client_document_has_an_empty_table(self):
+        verdict = feasibility(star_topology(1), ["c0"], GraphState.from_edges(1, []))
+        assert verdict.feasible and len(verdict.table) == 0
+        for compact in (False, True):
+            assert "".join(feasibility_document(verdict, compact)) == reference.document(verdict, compact)
 
     def test_table_stops_at_the_first_violation(self):
         # the mask column holds the whole list; the table ends at its second row
@@ -460,7 +467,7 @@ class TestFeasibility:
             listed = cut_calls[:]
             cut_calls.clear()
             want = feasibility(t, clients, target)
-            assert got.as_dict() == want.as_dict()
+            assert got == want
             assert listed == cut_calls
             cut_calls.clear()
             verdicts[want.feasible] += 1
@@ -538,7 +545,8 @@ class TestMatchesReference:
                 parts = [reference.split(len(clients), side) for side in sides]
             got = feasibility(t, clients, target, bipartition_list=masks)
             want = reference.feasibility(t, clients, target, bipartition_list=parts)
-            assert got.to_json() == want.to_json()
+            for compact in (False, True):  # the CLI's document, byte for byte
+                assert "".join(feasibility_document(got, compact)) == reference.document(want, compact)
             verdicts.append(got.feasible)
         assert 20 < sum(verdicts) < 220
 
@@ -548,7 +556,7 @@ class TestMatchesReference:
         got = feasibility(t, t.clients, target)
         flows = cut_calls[:]
         want = reference.feasibility(t, t.clients, target)
-        assert got.to_json() == want.to_json()
+        assert "".join(feasibility_document(got, compact=True)) == reference.document(want, compact=True)
         assert got.feasible and len(got.table) == 2**15 - 1
         # clients that share a home (one channel each) are twins, so a flow
         # is fixed by side A's count per home; a count vector and its

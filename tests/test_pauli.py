@@ -46,6 +46,13 @@ def random_operator(rng, n):
     )
 
 
+def letters_reference(op):
+    """``PauliOperator.to_string`` in its first form: one letter per qubit."""
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    sign = ("+", "+i", "-", "-i")[op.phase]
+    return sign + "".join(letters[(op.x >> q) & 1, (op.z >> q) & 1] for q in range(op.n))
+
+
 class TestParse:
     def test_five_qubit_generator_bits(self):
         p = parse_pauli("XZZXI")
@@ -64,6 +71,14 @@ class TestParse:
     def test_round_trip(self):
         for text in ("+XZZXI", "-YY", "+II", "-ZXIXZ"):
             assert parse_pauli(text).to_string() == text
+
+    def test_to_string_matches_the_letter_loop(self):
+        rng = random.Random(28)
+        ops = [PauliOperator(0, 0, 0, phase) for phase in range(4)]
+        ops += [random_operator(rng, n) for n in list(range(1, 70)) + [255, 256, 257, 4096]]
+        ops += [PauliOperator(n, (1 << n) - 1, z, 3) for n in (8, 600) for z in (0, (1 << n) - 1)]
+        for op in ops:
+            assert op.to_string() == letters_reference(op), op
 
     def test_malformed_character_reports_position(self):
         with pytest.raises(ValueError, match=r"^invalid character 'Q' at position 2$"):
