@@ -292,6 +292,7 @@ def cmd_metrics(args: argparse.Namespace) -> Output:
         for scheme in (Scheme.LQC, Scheme.EPR):
             with _naming(args.topology):
                 channels = channel_count(topology, scheme, center=args.center)
+                _check_printable(channels, f"the {scheme.value} channel count")
             rows.append(f",,{scheme.value},,,{channels},{p_success(channels)}")
     elif args.center is not None:
         raise CliError("--center needs --topology")
@@ -389,9 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         output, code = args.func(args)
         with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as stream:
-            if isinstance(output, dict):  # joined 4096 pieces at a time: never held whole, few writes
-                pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(output)
-                stream.writelines(iter(lambda: "".join(itertools.islice(pieces, 4096)), ""))
+            if isinstance(output, dict):  # never held whole: json.dump writes the encoder's pieces as they come
+                json.dump(output, stream, indent=2, sort_keys=True)
                 stream.write("\n")
             else:
                 stream.writelines(output)

@@ -18,9 +18,8 @@ so a highest-bit pivot eliminates the leaves first, and the reduced rows
 stay sparse: on a (2,8) repetition tree they hold 1.9 set bits on average
 (7.0 with lowest-bit pivots) and their witness masks 2.9 (42).
 
-``set_bits`` picks its loop by the row: narrow rows, and wide rows with
-few set bits, clear the lowest bit in turn (O(width) per set bit); wide
-rows with many set bits scan their binary string once (O(width) in all).
+``set_bits`` clears the lowest set bit in turn, O(width) per set bit;
+the rows it walks are narrow or sparse.
 """
 
 from __future__ import annotations
@@ -30,28 +29,12 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 
 
-# The string scan pays for converting the row, so it is slower on rows
-# under 1024 bits, and on wider rows with fewer than 16 set bits (12x
-# slower for one bit at 65536 bits); measured with CPython 3.11 on a
-# 2-core x86 VM.
-_SCAN_MIN_WIDTH = 1024
-_SCAN_MIN_BITS = 16
-
-
 def set_bits(row: int) -> Iterator[int]:
     """Indices of the set bits of ``row``, lowest first."""
-    if row.bit_length() < _SCAN_MIN_WIDTH or row.bit_count() < _SCAN_MIN_BITS:
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
-        return
-    digits = bin(row)  # "0b" then the bits, highest first
-    top = len(digits) - 1
-    i = digits.rfind("1")
-    while i > 1:
-        yield top - i
-        i = digits.rfind("1", 0, i)
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 class Eliminator:

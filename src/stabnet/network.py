@@ -294,13 +294,15 @@ class ReportTable(Sequence):
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """The checked rows in order, ending at the first violation.  From
-    ``feasibility`` the table keeps columns (a ``ReportTable``) and builds
-    each report when it is read; a tuple of reports reads the same."""
+    """The checked rows in order, ending at the first violation, of the
+    exhaustive sweep or, when ``listed``, of an explicit bipartition list.
+    From ``feasibility`` the table keeps columns (a ``ReportTable``) and
+    builds each report when it is read; a tuple of reports reads the same."""
 
     table: Sequence[BipartitionReport]
+    listed: bool = False
 
-    @cached_property  # each read of a row builds its report
+    @property
     def feasible(self) -> bool:
         return not self.table or self.table[-1].ok
 
@@ -311,7 +313,7 @@ class FeasibilityVerdict:
     @property
     def note(self) -> str:
         return (
-            "necessary condition satisfied for every client bipartition"
+            f"necessary condition satisfied for every {'listed' if self.listed else 'client'} bipartition"
             if self.feasible
             else "min-cut below required entanglement rank"
         )
@@ -384,7 +386,7 @@ def feasibility(
         ranks.append(rank)
         if cut < rank:
             break
-    return FeasibilityVerdict(ReportTable(clients, masks, cuts, ranks))
+    return FeasibilityVerdict(ReportTable(clients, masks, cuts, ranks), listed=bipartition_list is not None)
 
 
 def _cut_ranks(adjacency: Sequence[int], weights: Sequence[int]) -> Iterator[tuple[int, int, int]]:

@@ -49,7 +49,7 @@ from . import gf2
 _BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 # _BITS read backwards, by x + 2z: digit bytes 0x30 + x and 0x30 + z give
 # (0x30 + x) + 2 * (0x30 + z) = 0x90 + x + 2z
-_LETTERS = bytes.maketrans(bytes(range(0x90, 0x94)), b"IXZY")
+_LETTERS = bytes.maketrans(bytes(0x90 + x + 2 * z for x, z in _BITS.values()), "".join(_BITS).encode())
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 

@@ -145,7 +145,8 @@ def feasibility(
     for c in clients:
         if roles.get(c) != "client":
             raise ValueError(f"{c!r} is not a client node")
-    if bipartition_list is None:
+    listed = bipartition_list is not None
+    if not listed:
         if len(clients) > max_clients:
             raise ValueError(f"{len(clients)} clients exceed the exhaustive sweep cap")
         bipartition_list = list(bipartitions(len(clients)))
@@ -157,7 +158,7 @@ def feasibility(
         table.append(report)
         if not report.ok:
             break
-    return FeasibilityVerdict(tuple(table))
+    return FeasibilityVerdict(tuple(table), listed)
 
 
 def named(clients: Sequence[str], mask: int) -> list[str]:

@@ -11,7 +11,8 @@ import reference_network as reference
 from stabnet.cli import build_parser, main
 from stabnet.codes import DEFAULT_ENUMERATION_BUDGET
 from stabnet.graphstate import GraphState
-from stabnet.network import NetworkTopology, feasibility
+from stabnet.contraction import contract
+from stabnet.network import NetworkTopology, feasibility, repetition_state, to_contraction
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -171,6 +172,19 @@ class TestFeasibilityCommand:
         assert (len(out.splitlines()) == 1) == bool(options)
         table = json.loads(out)["table"]
         assert [(r["a"], r["b"], r["required_rank"]) for r in table] == rows
+
+    def test_listed_bipartitions_that_pass_say_so(self, capsys):
+        # 2 of the kite's 15 bipartitions are checked: the note said every
+        # client bipartition was; a sweep's note is unchanged
+        argv = ["feasibility", "--topology", fixture("star_topology.json"), "--target", fixture("kite_target.json")]
+        code, out, err = run(capsys, *argv, "--bipartitions", fixture("kite_bipartitions.json"))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["feasible"], len(data["table"])) == (True, 2)
+        assert data["note"] == "necessary condition satisfied for every listed bipartition"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["note"] == "necessary condition satisfied for every client bipartition"
 
     @pytest.mark.parametrize(
         "clients, message",
@@ -529,6 +543,18 @@ class TestMetricsCommand:
         code, out, err = run(capsys, "metrics", "--topology", topology)
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == [",,LQC,,,5,", ",,EPR,,,5,"]
+
+    def test_channel_count_past_digit_limit_names_the_topology(self, tmp_path, capsys):
+        # two edges of 4300 nines make an LQC count of 4301 digits: str()
+        # refused it with a message that named neither file nor field
+        limit = sys.get_int_max_str_digits()
+        topology, _ = star_files(tmp_path, 1, channels=10**limit - 1, parallel=2)
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            code, stdout, err = run(capsys, "metrics", "--topology", topology, *extra)
+            assert (code, stdout) == (2, "")
+            assert err == f"error: {topology}: the LQC channel count has more than {limit} digits, too large to print\n"
+        assert not out.exists()
 
     def test_channel_count_past_float_range(self, capsys):
         # 2**2000 * 2000 channels used to overflow the survival power: exit 3
@@ -1278,6 +1304,21 @@ class TestWriter:
         assert run(capsys, *argv, "--out", str(out)) == (1, "", "")
         assert out.read_bytes() == expected.encode()
 
+    def test_large_contract_document_is_the_json_encoding(self, tmp_path, capsys):
+        # 1200 Bell pairs between clients and a two-relay link: 2402 residual
+        # generators of 2402 letters, 5.8 MB in 4825 encoder pieces
+        pairs = 1200
+        nodes = tuple((f"c{i}", "client") for i in range(2 * pairs)) + (("r", "relay"), ("s", "relay"))
+        edges = tuple((f"c{2 * i}", f"c{2 * i + 1}", 1) for i in range(pairs)) + (("r", "s", 1), ("r", "c0", 1), ("s", "c1", 1))
+        relays = {"r": repetition_state(2), "s": repetition_state(2)}
+        inst = to_contraction(NetworkTopology(nodes, edges), relays)[0]
+        path, out = tmp_path / "instance.json", tmp_path / "out"
+        path.write_text(inst.to_json())
+        expected = json.dumps(contract(inst).as_dict(), indent=2, sort_keys=True) + "\n"
+        assert run(capsys, "contract", "--instance", str(path)) == (0, expected, "")
+        assert run(capsys, "contract", "--instance", str(path), "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("command", ["metrics", "feasibility"])
     def test_closed_reader_ends_the_output_quietly(self, tmp_path, command):
         # the reader stops after one line, as `| head -1` does, and the rest
@@ -1290,17 +1331,16 @@ class TestWriter:
             topology, target = star_files(tmp_path, 12)
             argv, first = ["feasibility", "--topology", topology, "--target", target], b"{\n"
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "stabnet.cli", *argv],
             cwd=ROOT,
             env=dict(os.environ, PYTHONPATH=path),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        try:
-            assert proc.stdout.readline() == first
-            proc.stdout.close()
-            assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 0)
-        finally:
-            proc.kill()
-            proc.wait()
+        ) as proc:  # closes both pipes and waits
+            try:
+                assert proc.stdout.readline() == first
+                proc.stdout.close()
+                assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 0)
+            finally:
+                proc.kill()

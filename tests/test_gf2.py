@@ -120,7 +120,7 @@ def test_set_bits():
 
 
 def _lowest_first_loop(row):
-    """The plain loop that ``set_bits`` keeps for narrow or sparse rows."""
+    """The plain lowest-bit loop, written out for comparison."""
     out = []
     while row:
         low = row & -row
@@ -130,12 +130,10 @@ def _lowest_first_loop(row):
 
 
 def test_set_bits_matches_loop_across_the_scan_selection():
-    # widths on both sides of gf2._SCAN_MIN_WIDTH and set-bit counts on both
-    # sides of gf2._SCAN_MIN_BITS, up to 61k bits; lowest bit first on both
+    # narrow and wide rows up to 61k bits, sparse and dense, lowest bit first
     rng = random.Random(59)
-    width_cut, bits_cut = gf2._SCAN_MIN_WIDTH, gf2._SCAN_MIN_BITS
-    widths = [1, 63, width_cut - 1, width_cut, width_cut + 1, 4096, 61_000]
-    counts = [1, 2, bits_cut - 1, bits_cut, bits_cut + 1, 200]
+    widths = [1, 63, 1023, 1024, 1025, 4096, 61_000]
+    counts = [1, 2, 15, 16, 17, 200]
     for width in widths:
         for count in counts:
             if count > width:
@@ -144,7 +142,7 @@ def test_set_bits_matches_loop_across_the_scan_selection():
                 top = 1 << (width - 1)
                 row = top | sum(1 << b for b in rng.sample(range(width - 1), count - 1))
                 assert list(gf2.set_bits(row)) == _lowest_first_loop(row)
-    for width in (width_cut + 7, 61_000):
+    for width in (1031, 61_000):
         dense = rng.getrandbits(width) | 1 << (width - 1) | 1
         assert list(gf2.set_bits(dense)) == _lowest_first_loop(dense)
 

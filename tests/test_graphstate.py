@@ -33,7 +33,7 @@ class TestGraphState:
 
     @pytest.mark.parametrize("n", [1100, 2048])
     def test_rejects_asymmetric_rows_past_the_scan_width(self, n):
-        # a hub row this wide with this many edges takes set_bits' string scan
+        # a hub row wider than 1024 bits with more than 16 edges
         star = GraphState.star(n).rows
         far = n - 1
         missing_back = star[:far] + (0,)  # edge 0 -> far without far -> 0

@@ -339,7 +339,17 @@ class TestFeasibility:
         assert (FeasibilityVerdict((ok, ok)).feasible, FeasibilityVerdict((ok, ok)).witness) == (True, None)
         verdict = FeasibilityVerdict((ok, bad))
         assert (verdict.feasible, verdict.witness) == (False, bad)
-        assert [f.name for f in dataclasses.fields(FeasibilityVerdict)] == ["table"]
+        assert [f.name for f in dataclasses.fields(FeasibilityVerdict)] == ["table", "listed"]
+        # a passing verdict names what it checked: the sweep, or a listed subset
+        assert FeasibilityVerdict((ok,)).note == "necessary condition satisfied for every client bipartition"
+        assert FeasibilityVerdict((ok,), listed=True).note == "necessary condition satisfied for every listed bipartition"
+        for listed in (False, True):
+            assert FeasibilityVerdict((ok, bad), listed).note == "min-cut below required entanglement rank"
+        t, target = star_topology(4), GraphState.cycle(4)
+        assert not feasibility(t, t.clients, target).listed
+        verdict = feasibility(t, t.clients, target, bipartition_list=[0b0011, 0b0101])
+        assert (verdict.feasible, verdict.listed, len(verdict.table)) == (True, True, 2)
+        assert verdict.note == "necessary condition satisfied for every listed bipartition"
 
     def test_rows_read_their_sides_off_the_mask(self):
         rng = random.Random(16)
@@ -381,9 +391,10 @@ class TestFeasibility:
                     table[i]
             # bench/reference.py samples rows to check them
             assert random.Random(1).sample(table, 4) == random.Random(1).sample(rows, 4)
-            assert verdict == FeasibilityVerdict(tuple(rows)) and hash(verdict) == hash(FeasibilityVerdict(tuple(rows)))
+            same = FeasibilityVerdict(tuple(rows), listed=masks is not None)
+            assert verdict == same and hash(verdict) == hash(same)
             for compact in (False, True):
-                assert "".join(feasibility_document(verdict, compact)) == reference.document(FeasibilityVerdict(tuple(rows)), compact)
+                assert "".join(feasibility_document(verdict, compact)) == reference.document(same, compact)
 
     def test_one_client_document_has_an_empty_table(self):
         verdict = feasibility(star_topology(1), ["c0"], GraphState.from_edges(1, []))
@@ -467,7 +478,7 @@ class TestFeasibility:
             listed = cut_calls[:]
             cut_calls.clear()
             want = feasibility(t, clients, target)
-            assert got == want
+            assert got == dataclasses.replace(want, listed=True)
             assert listed == cut_calls
             cut_calls.clear()
             verdicts[want.feasible] += 1
