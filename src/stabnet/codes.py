@@ -174,12 +174,18 @@ def singleton_max_distance(n: int, k: int) -> int:
 def storage_bound(boundary: int, m: int, l: int, k: int, d: int) -> int:
     """Distance ceiling for a code composed from m copies of an [[l, k, d]]
     code whose boundary holds the mk stored qubits.  A triple that breaks
-    the quantum Singleton bound k <= l - 2(d - 1) is refused."""
+    the quantum Singleton bound k <= l - 2(d - 1) is refused, and so is a
+    boundary too small for k · m, whose digits the refusal prints when it
+    can."""
     for name, value in (("boundary", boundary), ("m", m), ("l", l), ("k", k), ("d", d)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     if k * m > boundary:
-        raise ValueError(f"boundary {boundary} cannot store {k * m} logical qubits")
+        try:
+            stored = str(k * m)
+        except ValueError:  # past the interpreter's int-print limit
+            stored = "k · m"
+        raise ValueError(f"boundary {boundary} cannot store {stored} logical qubits")
     if k > l - 2 * (d - 1):
         raise ValueError(f"no [[{l}, {k}, {d}]] code exists: k > l - 2(d - 1)")
     return (boundary + m * l - 2 * m * (d - 1) - 2 * k * m) // 2 + 1

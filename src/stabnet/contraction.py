@@ -8,13 +8,19 @@ operators, each node generator shifted by its block's offset and then
 each pairing's two Bell-pair generators.  The residual is extracted
 without simulating measurements: stack the operators as symplectic rows,
 restrict the rows to the contracted qubit columns, and compute the GF(2)
-kernel.  Each row carries its operator through that elimination, the
-node part as an exact product (:func:`stabnet.pauli.times`) and the Bell
-part as its letters, so each kernel basis vector comes back as its
-product with an exact sign, not as a mask to multiply out afterwards.
-The products are identity on the contracted qubits, and the
-:class:`StabilizerGroup` built from their boundary restrictions, in one
-elimination, is the residual.
+kernel.  The rows are built from bits, in that order: a node row is its
+generator's shifted X-before-Z bits masked to the contracted columns, and
+a Bell row is its letters, two shifts of the convention's generator bits
+on qubits 0 and 1, which lie on contracted qubits only.  The order fixes
+the kernel basis, and so the printed generators.  Each row carries its
+operator through that elimination, the node part as an exact product
+(:func:`stabnet.pauli.times`) and the Bell part as its letters, so each
+kernel basis vector comes back as its product with an exact sign, not as
+a mask to multiply out afterwards.  The products are identity on the
+contracted qubits.  Each is read straight into its boundary operator: the
+phase from its X-before-Z form and the closing sign of its YY pairs, the
+boundary bits moved to residual qubits.  The :class:`StabilizerGroup`
+built from those, in one elimination, is the residual.
 
 If some product materializes to -I the Bell projection annihilates the
 state (status ANNIHILATED).  If the residual has fewer independent
@@ -40,7 +46,6 @@ from .pauli import (
     MinusIdentityError,
     PauliOperator,
     StabilizerGroup,
-    from_xz_form,
     product,
     require_int,
     require_key,
@@ -196,18 +201,21 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     # each node generator shifted by its block's offset, then each pairing's
     # Bell group generators, their qubits 0 and 1 moved to i and j; a row's
     # witness is its node part in X-before-Z form, tagged with its Bell
-    # letters as a symplectic row
+    # letters as a symplectic row.  A node row is its witness's bits on the
+    # contracted columns; a Bell row is its letters, which lie on contracted
+    # qubits only and so need no mask.
     witnesses = []
     for group, off in zip(inst.node_states, inst.offsets):
         for g in group.generators:
             x, z, c, _ = xz_form(g)
             witnesses.append((x << off, z << off, c, 0))
+    rows = [symplectic(x, z, n) & columns for x, z, _, _ in witnesses]
     bell = bell_group(inst.convention).generators
+    (a0, a1), (b0, b1) = ((symplectic(g.x & 1, g.z & 1, n), symplectic(g.x >> 1, g.z >> 1, n)) for g in bell)
     for i, j in inst.pairings:
-        for g in bell:
-            letters = symplectic((g.x & 1) << i | (g.x >> 1) << j, (g.z & 1) << i | (g.z >> 1) << j, n)
-            witnesses.append((0, 0, 0, letters))
-    rows = ((symplectic(x, z, n) ^ letters) & columns for x, z, _, letters in witnesses)
+        first, second = a0 << i | a1 << j, b0 << i | b1 << j
+        witnesses += ((0, 0, 0, first), (0, 0, 0, second))
+        rows += (first, second)
     kernel = gf2.left_kernel(rows, witnesses, times)
 
     # The node generators commute, and so do the Bell generators, so a
@@ -217,17 +225,21 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     # N on the boundary.  B holds a pair's closing element (YY in both
     # conventions, the only Bell letters with a Y) where it takes both of
     # the pair's generators, so sign(B) is the closing sign per YY pair.
+    # N is read straight off its X-before-Z form: its phase restores the Y
+    # letters, and its boundary bits map to the residual's qubits.
     closing = product(bell, 2).phase
-    bit_of = {q: 1 << k for k, q in enumerate(boundary)}
+    bit_of = {q: 1 << k for k, q in enumerate(boundary)}.__getitem__
     candidates = []
-    for witness in kernel:
-        node, letters = from_xz_form(witness, n), witness[3]
-        if node.symplectic_row() & columns != letters:
+    for x, z, c, letters in kernel:
+        if (x | z) >> n:
+            raise ValueError("x/z bits extend beyond the qubit count")
+        if symplectic(x, z, n) & columns != letters:
             raise AssertionError("kernel product is not identity on contracted qubits")
         yy_pairs = (letters & letters >> n).bit_count() // 2
-        x = sum(bit_of[q] for q in gf2.set_bits(node.x & on_boundary))
-        z = sum(bit_of[q] for q in gf2.set_bits(node.z & on_boundary))
-        candidates.append(PauliOperator(len(boundary), x, z, (node.phase + closing * yy_pairs) % 4))
+        phase = (c - (x & z).bit_count() + closing * yy_pairs) % 4
+        bx = sum(map(bit_of, gf2.set_bits(x & on_boundary)))
+        bz = sum(map(bit_of, gf2.set_bits(z & on_boundary)))
+        candidates.append(PauliOperator(len(boundary), bx, bz, phase))
 
     # validation keeps the pairs disjoint: 2 * len(pairings) paired qubits
     exponent = 2 * len(inst.pairings) - len(witnesses) + len(kernel)

@@ -154,14 +154,13 @@ def symplectic(x: int, z: int, n: int) -> int:
 def letter_rows(gens: Sequence[PauliOperator], n: int) -> list[tuple[tuple[int, int], ...]]:
     """Per qubit q, the (syndrome, symplectic row) of X, Y and Z on q, in
     that order.  Bit j of a syndrome says the letter anticommutes with
-    ``gens[j]``, whose X part on q flips Z and Y and whose Z part X and Y."""
+    ``gens[j]``, read straight off the support masks: X on q anticommutes
+    with the generators with a Z part on q, Z with those with an X part,
+    and Y with those with exactly one of the two."""
     has_x, has_z = support_masks(gens, n)
-    # x, z and the row on qubit 0 of each letter; on qubit q its row is row << q
-    (x1, z1, r1), (x2, z2, r2), (x3, z3, r3) = ((x, z, symplectic(x, z, n)) for x, z in map(_BITS.get, "XYZ"))
-    return [
-        ((hz * x1 ^ hx * z1, r1 << q), (hz * x2 ^ hx * z2, r2 << q), (hz * x3 ^ hx * z3, r3 << q))
-        for q, (hx, hz) in enumerate(zip(has_x, has_z))
-    ]
+    # each letter's row on qubit 0, built once; on qubit q its row is row << q
+    rx, ry, rz = (symplectic(x, z, n) for x, z in map(_BITS.get, "XYZ"))
+    return [((hz, rx << q), (hx ^ hz, ry << q), (hx, rz << q)) for q, (hx, hz) in enumerate(zip(has_x, has_z))]
 
 
 def xz_form(op: PauliOperator) -> tuple[int, int, int, int]:

@@ -20,7 +20,7 @@ from stabnet.contraction import (
 )
 from stabnet.graphstate import GraphState, stabilizer_generators
 from stabnet.network import NetworkTopology
-from stabnet.pauli import PauliOperator, StabilizerGroup, product
+from stabnet.pauli import PauliOperator, StabilizerGroup, product, times
 
 
 def pack_row(bits: Iterable[int]) -> int:
@@ -31,6 +31,19 @@ def pack_row(bits: Iterable[int]) -> int:
             raise ValueError(f"bit at index {i} is {b!r}, expected 0 or 1")
         row |= b << i
     return row
+
+
+def corrupt_once(q: int):
+    """The combine step ``contract`` passes to the elimination, except
+    that its first product has its X bit on qubit ``q`` flipped."""
+    calls = []
+
+    def combine(a, b):
+        x, z, c, tag = times(a, b)
+        calls.append(None)
+        return (x ^ 1 << q if len(calls) == 1 else x), z, c, tag
+
+    return combine
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> GraphState:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import reference_network as reference
+from conftest import corrupt_once
 from stabnet.cli import build_parser, main
 from stabnet.codes import DEFAULT_ENUMERATION_BUDGET
 from stabnet.graphstate import GraphState
@@ -374,6 +375,16 @@ class TestCodeCommand:
         code, out, err = run(capsys, "code", "bounds", "--B", big, "--m", big, "--l", big, "--k", "1", "--d", "1")
         assert (code, out) == (2, "")
         assert err == f"error: --B/--m/--l/--k/--d: storage_bound has more than {limit} digits, too large to print\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_bounds_product_past_digit_limit(self, tmp_path, capsys):
+        # --m and --k of 4300 digits each parse, but their product does not print
+        nines = "9" * sys.get_int_max_str_digits()
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            argv = ["code", "bounds", "--B", "9", "--m", nines, "--l", "1", "--k", nines, "--d", "1", *extra]
+            assert run(capsys, *argv) == (2, "", "error: --B/--m/--l/--k/--d: boundary 9 cannot store k · m logical qubits\n")
+        assert not out.exists()
 
     def test_compose_triangle(self, capsys):
         code, out, _ = run(
@@ -1118,6 +1129,13 @@ class TestInternalError:
         assert code == 3
         assert out == ""
         assert err == "internal error: RuntimeError: engine bug\n"
+
+    def test_failed_identity_check_exits_three(self, capsys, monkeypatch):
+        # the first combined product gets a wrong X bit on contracted qubit 0
+        monkeypatch.setattr("stabnet.contraction.times", corrupt_once(0))
+        code, out, err = run(capsys, "contract", "--instance", fixture("swap_chain_instance.json"))
+        assert (code, out) == (3, "")
+        assert err == "internal error: AssertionError: kernel product is not identity on contracted qubits\n"
 
 
 # Runs the README commands in a fresh interpreter where importing numpy fails.

@@ -413,6 +413,21 @@ class TestBounds:
         with pytest.raises(ValueError):
             storage_bound(4, 3, 5, 2, 3)
 
+    def test_overfull_boundary_names_an_unprintable_product(self):
+        # k * m of 8600 digits: the refusal used to be the interpreter's own
+        # int-print error; every printable product keeps its digits
+        nines = int("9" * 4300)
+        try:
+            shown = str(nines * nines)
+        except ValueError:
+            shown = "k · m"
+        with pytest.raises(ValueError) as exc:
+            storage_bound(9, nines, 1, nines, 1)
+        assert str(exc.value) == f"boundary 9 cannot store {shown} logical qubits"
+        with pytest.raises(ValueError) as exc:
+            storage_bound(2, 3, 5, 1, 3)
+        assert str(exc.value) == "boundary 2 cannot store 3 logical qubits"
+
     def test_storage_bound_rejects_codes_past_singleton(self):
         with pytest.raises(ValueError, match=r"^no \[\[5, 1, 4\]\] code exists: k > l - 2\(d - 1\)$"):
             storage_bound(9, 3, 5, 1, 4)

@@ -13,6 +13,7 @@ import reference_contraction
 from conftest import (
     check_against_dense,
     conjugated,
+    corrupt_once,
     groups_equal,
     permuted,
     random_contraction_instance,
@@ -468,6 +469,17 @@ def relay_tree(rng: random.Random, n: int, p: int, relays: str, convention):
     return to_contraction(topology, assignment, convention)[0]
 
 
+class TestIdentityCheck:
+    def test_a_wrong_product_on_a_contracted_qubit_raises(self, monkeypatch):
+        # entanglement swapping through qubits 0 and 2, which are contracted
+        inst = ContractionInstance((EPR, EPR), ((0, 2),))
+        assert contract(inst).residual.to_strings() == ["+XX", "+ZZ"]
+        for q in (0, 2):
+            monkeypatch.setattr("stabnet.contraction.times", corrupt_once(q))
+            with pytest.raises(AssertionError, match="^kernel product is not identity on contracted qubits$"):
+                contract(inst)
+
+
 class TestMatchesReference:
     """The set-bit engine renders byte-identical results to the plain loops
     in ``reference_contraction``: same generators, order, signs, exponent."""
@@ -516,6 +528,20 @@ class TestMatchesReference:
                     seen[convention][result.status] += 1
         for counts in seen.values():
             assert all(counts[s] > 0 for s in Status), seen
+
+    def test_five_qubit_code_rings(self, rng):
+        # the compose-sweep shape: 3 to 5 five-qubit codes in a ring, code j
+        # glued by one of two random ports to a random port of code j + 1
+        seen = Counter()
+        for _ in range(200):
+            m = rng.randint(3, 5)
+            ports = [rng.sample(range(5), 2) for _ in range(m)]
+            pairings = tuple((5 * j + ports[j][1], 5 * ((j + 1) % m) + ports[(j + 1) % m][0]) for j in range(m))
+            inst = ContractionInstance((FIVE,) * m, pairings, rng.choice(list(BellConvention)))
+            result = contract(inst)
+            assert result.to_json() == reference_contraction.contract_json(inst)
+            seen[inst.convention, m] += 1
+        assert len(seen) == 6, seen
 
     @pytest.mark.parametrize("convention", list(BellConvention))
     @pytest.mark.parametrize("n, p", [(2, 6), (3, 3)])
