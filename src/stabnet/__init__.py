@@ -23,7 +23,6 @@ from .contraction import (
 )
 from .graphstate import (
     GraphState,
-    bipartitions,
     entanglement_rank,
     stabilizer_generators,
 )

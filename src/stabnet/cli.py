@@ -169,7 +169,7 @@ def feasibility_document(verdict: FeasibilityVerdict, compact: bool = False) -> 
 
     feasible, note = json.dumps(verdict.feasible), json.dumps(verdict.note)
     yield f'{{{newline(2)}"feasible": {feasible}{comma(2)}"note": {note}{comma(2)}"table": ['
-    for start in range(0, len(table), ROW_BATCH):  # the mask column may run on past the checked rows
+    for start in range(0, len(table), ROW_BATCH):
         stop = start + ROW_BATCH
         yield (comma(4) if start else newline(4)) + rows(4, table.a_masks[start:stop], table.cuts[start:stop], table.ranks[start:stop])
     tail = newline(2) + "]" if len(table) else "]"

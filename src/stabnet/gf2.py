@@ -6,8 +6,8 @@ storage and word-wise XOR for free.  A rank is a pivot count
 row and serves the code that reads relations and solves: ``left_kernel``,
 every stabilizer group and the distance search's membership test.  A
 witness is by default the row's own bit, combined by XOR into relation
-masks; a caller may pass its own starting witnesses and combine step, and
-``contract`` carries each row's operator product that way, so a kernel
+masks.  ``left_kernel`` takes its witnesses and combine step from the
+caller: ``contract`` carries each row's operator product, so a kernel
 relation comes back as the product it stands for.
 
 Elimination pivots on the highest set bit of a row.  Which rows are
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from itertools import repeat
 
 
 def set_bits(row: int) -> Iterator[int]:
@@ -103,15 +102,13 @@ def rank_packed(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def left_kernel(
-    rows: Iterable[int], witnesses: Iterable | None = None, combine: Callable = operator.xor
-) -> list:
-    """Basis of {masks m : XOR of rows selected by m == 0}, as relation
-    masks; given ``witnesses`` (one per row) and their ``combine``, the
-    combined witness of each basis relation instead."""
+def left_kernel(rows: Iterable[int], witnesses: Iterable, combine: Callable) -> list:
+    """A basis of {masks m : XOR of rows selected by m == 0}, each relation
+    given as the ``combine`` of the ``witnesses`` (one per row) it selects;
+    bit witnesses combined by XOR give the relation masks themselves."""
     elim = Eliminator(combine)
     kernel = []
-    for row, witness in zip(rows, repeat(None) if witnesses is None else witnesses):
+    for row, witness in zip(rows, witnesses):
         relation = elim.add(row, witness)
         if relation is not None:
             kernel.append(relation)

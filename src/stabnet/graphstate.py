@@ -15,7 +15,7 @@ the exhaustive sweep keeps the same rank up to date mask by mask.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -115,14 +115,6 @@ class GraphState:
             if c not in "01":
                 raise ValueError(f"invalid bit {c!r}")
         return cls.from_edges(n, [e for e, c in zip(combinations(range(n), 2), bits) if c == "1"])
-
-
-def bipartitions(n: int) -> Iterator[int]:
-    """All bipartitions of range(n) as A-side bit masks, vertex 0 always on A.
-
-    Generated lazily, in increasing mask order.
-    """
-    yield from range(1, (1 << n) - 1, 2)
 
 
 def stabilizer_generators(g: GraphState) -> StabilizerGroup:

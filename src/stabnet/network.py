@@ -15,10 +15,10 @@ it (a necessary condition; no coding strategy is synthesized), so
 `feasibility` streams A-side client masks into a table that ends at the
 first violation: the verdict and its witness are read off the last row.
 The table keeps columns, not rows: the A-side masks (the exhaustive
-sweep's are `bipartitions(n)`, so they take no storage), the cuts and the
-ranks.  A row's report is built from them when it is read, and its two
-client lists are read off its mask by `subsets`: two table lookups up to
-20 clients, not a walk over every client.
+sweep's are a range, so they take no storage), the cuts and the ranks,
+one entry per checked row.  A row's report is built from them when it is
+read, and its two client lists are read off its mask by `subsets`: two
+table lookups up to 20 clients, not a walk over every client.
 Twin clients share a neighbour->channel map, so swapping two is an
 automorphism: a cut depends only on how many twins of each class sit on
 each side.  Edges are undirected, so cut(A, B) = cut(B, A), and the
@@ -52,6 +52,7 @@ survive as the boundary.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -263,10 +264,9 @@ class BipartitionReport:
 
 
 class ReportTable(Sequence):
-    """A feasibility table kept as columns: ``a_masks[i]``, ``cuts[i]`` and
-    ``ranks[i]`` make row ``i``, and ``len(cuts)`` rows were checked (the
-    mask column may run on past them).  A row's report is built each time
-    it is read; a slice is a tuple of reports, as a tuple's slice is."""
+    """A feasibility table kept as columns, one entry per checked row:
+    ``a_masks[i]``, ``cuts[i]`` and ``ranks[i]`` make row ``i``.  A row's
+    report is built each time it is read, by int index or by iteration."""
 
     __slots__ = ("clients", "a_masks", "cuts", "ranks")
 
@@ -276,30 +276,20 @@ class ReportTable(Sequence):
     def __len__(self) -> int:
         return len(self.cuts)
 
-    def __getitem__(self, index):
-        at = range(len(self.cuts))[index]  # raises as a tuple's index would
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, at))
-        return BipartitionReport(self.clients, self.a_masks[at], self.cuts[at], self.ranks[at])
+    def __getitem__(self, index: int) -> BipartitionReport:
+        index = operator.index(index)  # a slice is a TypeError
+        return BipartitionReport(self.clients, self.a_masks[index], self.cuts[index], self.ranks[index])
 
     def __iter__(self) -> Iterator[BipartitionReport]:
         return map(partial(BipartitionReport, self.clients), self.a_masks, self.cuts, self.ranks)
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, ReportTable)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """The checked rows in order, ending at the first violation, of the
-    exhaustive sweep or, when ``listed``, of an explicit bipartition list.
-    From ``feasibility`` the table keeps columns (a ``ReportTable``) and
-    builds each report when it is read; a tuple of reports reads the same."""
+    exhaustive sweep or, when ``listed``, of an explicit bipartition list."""
 
-    table: Sequence[BipartitionReport]
+    table: ReportTable
     listed: bool = False
 
     @property
@@ -361,7 +351,7 @@ def feasibility(
                 f"{n} clients exceed the exhaustive sweep cap "
                 f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
             )
-        masks: Sequence[int] = range(1, (1 << n) - 1, 2)  # bipartitions(n), as a column
+        masks: Sequence[int] = range(1, (1 << n) - 1, 2)  # vertex 0 on side A, in increasing order
         rows = _cut_ranks(target.rows, weights)
     else:  # every mask is checked before the first cut runs
         masks = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
@@ -386,13 +376,13 @@ def feasibility(
         ranks.append(rank)
         if cut < rank:
             break
-    return FeasibilityVerdict(ReportTable(clients, masks, cuts, ranks), listed=bipartition_list is not None)
+    return FeasibilityVerdict(ReportTable(clients, masks[: len(cuts)], cuts, ranks), bipartition_list is not None)
 
 
 def _cut_ranks(adjacency: Sequence[int], weights: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """``(a_mask, key, rank)`` for every mask of ``bipartitions(n)``, in its
-    order: ``key`` sums ``weights`` over side A and ``rank`` is the
-    entanglement rank, by the identity in the module docstring.  The masks
+    """``(a_mask, key, rank)`` for every A-side mask with bit 0 set, in
+    increasing order: ``key`` sums ``weights`` over side A and ``rank`` is
+    the entanglement rank, by the identity in the module docstring.  The masks
     count up in bits 1..n-1: each step pops the pivots of the set bits it
     clears, the newest on the stack, and pushes the two rows of the bit it
     sets, about two inserts and two removals per mask."""

@@ -97,12 +97,6 @@ class PauliOperator:
         if not 0 <= self.phase <= 3:
             raise ValueError(f"phase must be in 0..3, got {self.phase}")
 
-    def commutes_with(self, other: PauliOperator) -> bool:
-        if self.n != other.n:
-            raise ValueError(f"qubit counts differ: {self.n} vs {other.n}")
-        sym = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
-        return sym % 2 == 0
-
     def negated(self) -> PauliOperator:
         return PauliOperator(self.n, self.x, self.z, (self.phase + 2) % 4)
 

@@ -3,6 +3,7 @@ oracles, and dense-state comparison utilities."""
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Iterable
 from itertools import combinations
@@ -31,6 +32,16 @@ def pack_row(bits: Iterable[int]) -> int:
             raise ValueError(f"bit at index {i} is {b!r}, expected 0 or 1")
         row |= b << i
     return row
+
+
+def commute(p: PauliOperator, q: PauliOperator) -> bool:
+    """Whether two Paulis on the same qubits commute: an even symplectic product."""
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
+
+
+def relation_masks(rows: list[int]) -> list[int]:
+    """``gf2.left_kernel`` with each row's own bit as its witness, combined by XOR."""
+    return gf2.left_kernel(rows, [1 << i for i in range(len(rows))], operator.xor)
 
 
 def corrupt_once(q: int):

@@ -17,6 +17,7 @@ one-off larger checks.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -353,7 +354,7 @@ def group_entanglement_rank(group: StabilizerGroup, subset: Sequence[int]) -> in
         raise ValueError("subset out of range")
     outside = sum(1 << q for q in range(group.n) if q not in inside)
     restricted = [(g.x & outside) | ((g.z & outside) << group.n) for g in group.generators]
-    return len(inside) - len(gf2.left_kernel(restricted))
+    return len(inside) - len(gf2.left_kernel(restricted, [1 << i for i in range(len(restricted))], operator.xor))
 
 
 def augment(group: StabilizerGroup, a: int) -> StabilizerGroup:

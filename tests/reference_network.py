@@ -8,9 +8,9 @@ way: every bipartition is listed up front, every cut is a fresh max-flow
 on a dense capacity matrix with each client set merged into one
 terminal, and every block of the adjacency matrix is packed one bit at
 a time.  A bipartition here is a pair of sorted index tuples ``(a, b)``,
-not the package's A-side mask; only the rows it reports hold the mask,
-as the package's rows do.  Tests require both to render byte-identical
-verdicts.
+not the package's A-side mask; only the table it returns holds masks,
+in the same mask, cut and rank columns as the package's.  Tests require
+both to render byte-identical verdicts.
 
 ``document`` is the feasibility document in its first form: a dict per
 row, each side's client list read off the mask client by client, encoded
@@ -33,6 +33,7 @@ from stabnet.network import (
     BipartitionReport,
     FeasibilityVerdict,
     NetworkTopology,
+    ReportTable,
 )
 
 
@@ -150,15 +151,14 @@ def feasibility(
         if len(clients) > max_clients:
             raise ValueError(f"{len(clients)} clients exceed the exhaustive sweep cap")
         bipartition_list = list(bipartitions(len(clients)))
-    table = []
+    masks, cuts, ranks = [], [], []
     for a, b in bipartition_list:
-        mc = min_cut(t, [clients[i] for i in a], [clients[i] for i in b])
-        rank = entanglement_rank(target, (a, b))
-        report = BipartitionReport(tuple(clients), sum(1 << i for i in a), mc, rank)
-        table.append(report)
-        if not report.ok:
+        masks.append(sum(1 << i for i in a))
+        cuts.append(min_cut(t, [clients[i] for i in a], [clients[i] for i in b]))
+        ranks.append(entanglement_rank(target, (a, b)))
+        if cuts[-1] < ranks[-1]:
             break
-    return FeasibilityVerdict(tuple(table), listed)
+    return FeasibilityVerdict(ReportTable(tuple(clients), masks, cuts, ranks), listed)
 
 
 def named(clients: Sequence[str], mask: int) -> list[str]:

@@ -12,6 +12,7 @@ import pytest
 import reference_contraction
 from conftest import (
     check_against_dense,
+    commute,
     conjugated,
     corrupt_once,
     groups_equal,
@@ -446,7 +447,7 @@ def _node_meets_bell(inst: ContractionInstance) -> bool:
     bells = [
         b for i, j in inst.pairings for b in reference_contraction.bell_generators(i, j, n, inst.convention)
     ]
-    return any(not a.commutes_with(b) for a in nodes for b in bells)
+    return any(not commute(a, b) for a in nodes for b in bells)
 
 
 def relay_tree(rng: random.Random, n: int, p: int, relays: str, convention):

@@ -10,7 +10,6 @@ from stabnet import gf2
 from stabnet.contraction import BellConvention, ContractionInstance, Status, contract
 from stabnet.graphstate import (
     GraphState,
-    bipartitions,
     entanglement_rank,
     stabilizer_generators,
 )
@@ -130,16 +129,16 @@ class TestEntanglementRank:
     def test_star_always_one(self):
         for n in range(2, 7):
             g = GraphState.star(n)
-            assert all(entanglement_rank(g, p) == 1 for p in bipartitions(n))
+            assert all(entanglement_rank(g, p) == 1 for p in range(1, (1 << n) - 1, 2))
 
     def test_empty_graph_zero(self):
         g = GraphState.from_edges(4, [])
-        assert all(entanglement_rank(g, p) == 0 for p in bipartitions(4))
+        assert all(entanglement_rank(g, p) == 0 for p in range(1, (1 << 4) - 1, 2))
 
     def test_five_cycle_two_vs_three(self):
         g = GraphState.cycle(5)
         v = oracle.graph_state_vector(g)
-        for p in bipartitions(5):
+        for p in range(1, (1 << 5) - 1, 2):
             if p.bit_count() in (2, 3):
                 assert entanglement_rank(g, p) == 2
                 assert oracle.reduced_rank(v, list(gf2.set_bits(p))) == 4
@@ -149,7 +148,7 @@ class TestEntanglementRank:
             n = rng.randint(2, 6)
             g = random_graph(rng, n)
             full = (1 << n) - 1
-            for p in bipartitions(n):
+            for p in range(1, (1 << n) - 1, 2):
                 r = entanglement_rank(g, p)
                 assert r == entanglement_rank(g, full ^ p)  # the same cut, B as side A
                 assert r <= min(p.bit_count(), n - p.bit_count())
@@ -159,7 +158,7 @@ class TestEntanglementRank:
             n = rng.randint(2, 6)
             g = random_graph(rng, n)
             v = oracle.graph_state_vector(g)
-            for p in bipartitions(n):
+            for p in range(1, (1 << n) - 1, 2):
                 assert 2 ** entanglement_rank(g, p) == oracle.reduced_rank(v, list(gf2.set_bits(p)))
 
     def test_invalid_partition(self):
@@ -176,12 +175,6 @@ class TestBipartition:
         for a_mask in (0, 0b11):  # side A empty, then side B empty
             with pytest.raises(ValueError, match="some but not all"):
                 entanglement_rank(g, a_mask)
-
-    def test_enumeration_halves_work(self):
-        parts = list(bipartitions(4))
-        assert len(parts) == 7  # 2^(4-1) - 1
-        assert all(p & 1 for p in parts)  # vertex 0 is on side A
-        assert parts == sorted(set(parts))
 
 
 class TestAugment:

@@ -17,7 +17,6 @@ EXPORTS = [
     "StabilizerCode",
     "StabilizerGroup",
     "Status",
-    "bipartitions",
     "channel_count",
     "codes",
     "compose",
@@ -47,4 +46,4 @@ EXPORTS = [
 
 def test_export_list_is_pinned():
     assert sorted(stabnet.__all__) == EXPORTS
-    assert len(EXPORTS) == 39
+    assert len(EXPORTS) == 38

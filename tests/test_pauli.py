@@ -7,7 +7,7 @@ import pytest
 
 import dense_oracle as oracle
 import reference_contraction
-from conftest import member, pack_row, random_graph
+from conftest import commute, member, pack_row, random_graph, relation_masks
 from stabnet import gf2, pauli
 from stabnet.graphstate import stabilizer_generators
 from stabnet.network import repetition_state
@@ -167,7 +167,7 @@ class TestMultiply:
                 ops.append(op.negated() if rng.random() < 0.5 else op)
             kept = rng.getrandbits(n)
             rows = [op.symplectic_row() & pauli.symplectic(kept, kept, n) for op in ops]
-            masks = gf2.left_kernel(rows)
+            masks = relation_masks(rows)
             carried = gf2.left_kernel(rows, map(pauli.xz_form, ops), pauli.times)
             assert len(carried) == len(masks)
             for mask, witness in zip(masks, carried):
@@ -179,27 +179,25 @@ class TestMultiply:
 
 
 class TestCommutes:
+    """The symplectic check the other tests use as their commutation oracle."""
+
     def test_x_z_anticommute(self):
-        assert not parse_pauli("X").commutes_with(parse_pauli("Z"))
+        assert not commute(parse_pauli("X"), parse_pauli("Z"))
 
     def test_five_qubit_pair(self):
-        assert parse_pauli("XZZXI").commutes_with(parse_pauli("IXZZX"))
+        assert commute(parse_pauli("XZZXI"), parse_pauli("IXZZX"))
 
     def test_nine_qubit_generators_pairwise(self):
         ops = [parse_pauli(s) for s in NINE_QUBIT]
         for i, a in enumerate(ops):
             for b in ops[i + 1 :]:
-                assert a.commutes_with(b)
+                assert commute(a, b)
 
     def test_symmetric(self, rng):
         for _ in range(100):
             n = rng.randint(1, 5)
             p, q = random_operator(rng, n), random_operator(rng, n)
-            assert p.commutes_with(q) == q.commutes_with(p)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            parse_pauli("X").commutes_with(parse_pauli("XX"))
+            assert commute(p, q) == commute(q, p)
 
 
 class TestGf2Rank:
