@@ -9,7 +9,7 @@ for graph states equals the log2 rank of the reduced density operator
 (the tests cross-check it against a dense state vector and a general
 stabilizer group's rank).  `entanglement_rank` computes one cut's rank
 from scratch, as the feasibility check does for an explicit mask list;
-the exhaustive sweep keeps the same rank up to date mask by mask.
+the exhaustive sweep reads every cut's rank from one table of kernel counts.
 """
 
 from __future__ import annotations

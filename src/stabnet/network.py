@@ -33,14 +33,15 @@ at the maximum, which is the min cut.  Unlisted clients and relays stay
 transit nodes, and the last BFS, which finds no path, still reaches the
 A side of a minimum cut.
 
-The exhaustive sweep walks the masks in increasing order and keeps each
-row's rank and twin count up to date rather than recomputing them:
-rank(adj[A, B]) = dim(span{adj[u] : u in A} + span{e_u : u in A}) - |A|,
-because the unit rows e_u span exactly what restricting to side B
-forgets.  Moving vertex j to side A inserts two rows, adj[j] and e_j,
-into one set of highest-bit pivots, and moving it back pops them again,
-so no column is ever deleted.  An explicit mask list gets a fresh
-`entanglement_rank` per mask instead.
+The exhaustive sweep reads every rank from one table.  Vertex 0 sits on
+side A, so side B is a set of vertices 1..n-1, and rank(adj[A, B]) =
+rank(adj[B, A]).  With o(x) the odd neighbourhood of a vertex set x (the
+XOR of its rows), the x within B whose o(x) lies within B make the left
+kernel of adj[B, A]: N(B) = 2**(|B| - rank) of them.  `_sweep_ranks`
+counts each x at x | o(x), from two half tables, and one subset-sum (zeta)
+transform of the counts packed into one integer (Bjorklund, Husfeldt,
+Kaski and Koivisto 2007) gives every N(B), a masked shift and add per
+vertex.  A listed mask gets an `entanglement_rank`.
 
 `to_contraction` realizes the dual picture: every edge channel becomes a
 Bell pair with one half at each endpoint, every relay is assigned a
@@ -53,7 +54,9 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+import sys
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -223,12 +226,7 @@ def subsets(items: tuple) -> Callable[[int], tuple]:
     replaces a walk over every item."""
     runs = max(1, -(-len(items) // _SUBSET_BITS))
     width = max(1, -(-len(items) // runs))
-    tables = []
-    for start in range(0, len(items), width):
-        table = [()]
-        for item in items[start : start + width]:  # the subsets holding it follow those that do not
-            table += [found + (item,) for found in table]
-        tables.append(table)
+    tables = [_subset_sums([(item,) for item in items[start : start + width]], ()) for start in range(0, len(items), width)]
     first, rest = (tables or [[()]])[0], tables[1:]  # no items: the one empty subset
     every, low = (1 << len(items)) - 1, (1 << width) - 1
 
@@ -241,6 +239,14 @@ def subsets(items: tuple) -> Callable[[int], tuple]:
         return found
 
     return select
+
+
+def _subset_sums(items: Sequence, zero=0, add: Callable = operator.add) -> list:
+    """``table[mask]`` adds ``items[i]`` to ``zero`` for each set bit ``i`` of ``mask``, in order."""
+    table = [zero]
+    for item in items:  # the subsets holding it follow those that do not
+        table += [add(found, item) for found in table]
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,7 +276,7 @@ class ReportTable(Sequence):
 
     __slots__ = ("clients", "a_masks", "cuts", "ranks")
 
-    def __init__(self, clients: tuple[str, ...], a_masks: Sequence[int], cuts: list[int], ranks: list[int]) -> None:
+    def __init__(self, clients: tuple[str, ...], a_masks: Sequence[int], cuts: list[int], ranks: Sequence[int]) -> None:
         self.clients, self.a_masks, self.cuts, self.ranks = clients, a_masks, cuts, ranks
 
     def __len__(self) -> int:
@@ -284,10 +290,11 @@ class ReportTable(Sequence):
         return map(partial(BipartitionReport, self.clients), self.a_masks, self.cuts, self.ranks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityVerdict:
     """The checked rows in order, ending at the first violation, of the
-    exhaustive sweep or, when ``listed``, of an explicit bipartition list."""
+    exhaustive sweep or, when ``listed``, of an explicit bipartition list.
+    Verdicts compare by identity; rows compare through ``list(v.table)`` and ``listed``."""
 
     table: ReportTable
     listed: bool = False
@@ -352,19 +359,20 @@ def feasibility(
                 f"{DEFAULT_MAX_CLIENTS}; pass an explicit bipartition list"
             )
         masks: Sequence[int] = range(1, (1 << n) - 1, 2)  # vertex 0 on side A, in increasing order
-        rows = _cut_ranks(target.rows, weights)
+        half = (n + 1) // 2  # the masks count up in their high bits over their odd low bits
+        low_keys, high_keys = _subset_sums(weights[:half])[1::2], _subset_sums(weights[half:])
+        ranks: MutableSequence[int] = _sweep_ranks(target.rows)
+        rows = zip(masks, (high + low for high in high_keys for low in low_keys), ranks)
     else:  # every mask is checked before the first cut runs
         masks = [require_bipartition(n, a_mask) for a_mask in bipartition_list]
-        rows = (
-            (a_mask, sum(weights[i] for i in gf2.set_bits(a_mask)), entanglement_rank(target, a_mask))
-            for a_mask in masks
-        )
+        ranks = []  # appended as the rows are read, so no mask past the first violation is ranked
+        keys = (sum(weights[i] for i in gf2.set_bits(a_mask)) for a_mask in masks)
+        rows = ((a_mask, key, ranks.append(entanglement_rank(target, a_mask)) or ranks[-1]) for a_mask, key in zip(masks, keys))
     full = sum(weights)  # side B's key: complementary sides cut alike
     nodes, every = [index[c] for c in clients], (1 << n) - 1
     cap = base[:]  # one residual flow for the whole table
     cut_of: dict[int, int] = {}  # a twin key and its complement -> their cut
     cuts: list[int] = []
-    ranks: list[int] = []
     for a_mask, key, rank in rows:
         cut = cut_of.get(key)
         if cut is None:
@@ -373,45 +381,36 @@ def feasibility(
             cut = held + _augment(out, head, cap, [nodes[i] for i in gf2.set_bits(a_mask)], sinks)
             cut_of[key] = cut_of[full - key] = cut
         cuts.append(cut)
-        ranks.append(rank)
         if cut < rank:
             break
+    del ranks[len(cuts) :]  # the sweep's ranks run on past a violation
     return FeasibilityVerdict(ReportTable(clients, masks[: len(cuts)], cuts, ranks), bipartition_list is not None)
 
 
-def _cut_ranks(adjacency: Sequence[int], weights: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """``(a_mask, key, rank)`` for every A-side mask with bit 0 set, in
-    increasing order: ``key`` sums ``weights`` over side A and ``rank`` is
-    the entanglement rank, by the identity in the module docstring.  The masks
-    count up in bits 1..n-1: each step pops the pivots of the set bits it
-    clears, the newest on the stack, and pushes the two rows of the bit it
-    sets, about two inserts and two removals per mask."""
+def _sweep_ranks(adjacency: Sequence[int]) -> bytearray:
+    """The entanglement rank of every A-side mask with bit 0 set, in increasing order, by the module docstring's kernel
+    count: ``counts[b]`` counts the x in 1..n-1 whose o(x) misses vertex 0 at b == (x | o(x)) >> 1, then N(B) at B >> 1."""
     n = len(adjacency)
-    pivots: dict[int, int] = {}  # pivot column + 1 -> reduced row
-    added: list[list[int]] = []  # per vertex on side A, newest last: its rows' pivots
-
-    def push(j: int) -> None:
-        keys = []
-        for row in (adjacency[j], 1 << j):
-            while row and (pivot := pivots.get(row.bit_length())) is not None:
-                row ^= pivot
-            if row:
-                pivots[row.bit_length()] = row
-                keys.append(row.bit_length())
-        added.append(keys)
-
-    push(0)
-    a_mask, key = 1, weights[0]
-    for _ in range((1 << (n - 1)) - 1):
-        yield a_mask, key, len(pivots) - a_mask.bit_count()
-        j = (~a_mask & (a_mask + 1)).bit_length() - 1  # the lowest clear bit
-        for i in range(1, j):
-            for k in added.pop():
-                del pivots[k]
-            key -= weights[i]
-        push(j)
-        a_mask = (a_mask + 1) | 1
-        key += weights[j]
+    size, half = 1 << (n - 1), n // 2
+    counts = array("I", [0]) * size  # N(B) <= 2**19 fits a 32-bit field
+    sets = [1 << v | adjacency[v] << n for v in range(1, n)]  # x | o(x) << n for x = {v}
+    low: tuple[list, list] = ([], [])  # (x >> 1, o(x) >> 1) among vertices 1..half, by o(x)'s vertex-0 bit
+    for s in _subset_sums(sets[:half], 0, operator.xor):
+        low[s >> n & 1].append((s >> 1 & (size - 1), s >> n + 1))
+    for s in _subset_sums(sets[half:], 0, operator.xor):
+        x, o = s >> 1 & (size - 1), s >> n + 1
+        for low_x, low_o in low[s >> n & 1]:  # o(x) misses vertex 0
+            counts[low_x | x | (low_o ^ o)] += 1
+    # packed in native order, field j + 2**i sits 8 * item << i bits above field j, or below it on a big-endian host
+    item, order, shift = counts.itemsize, sys.byteorder, operator.lshift if sys.byteorder == "little" else operator.rshift
+    total = int.from_bytes(counts, order)
+    del counts  # only the packed copy is transformed
+    for i in range(n - 1):  # add each field whose index has bit i clear to the one with it set
+        total += shift(total & int.from_bytes((b"\xff" * (item << i) + bytes(item << i)) * (size >> i + 1), order), 8 * item << i)
+    counts = memoryview(total.to_bytes(size * item, order)).cast("I")
+    del total  # so the rank column is not stacked on it
+    # row j is A = 2j + 1 against B >> 1 == b == size - 1 - j: rank = |B| - log2 N(B) = popcount(2b + 1) - N(B).bit_length()
+    return bytearray(map(operator.sub, map(int.bit_count, range(2 * size - 1, 1, -2)), map(int.bit_length, reversed(counts))))
 
 
 def repetition_state(num_qubits: int) -> StabilizerGroup:

@@ -422,6 +422,30 @@ class TestFeasibility:
         assert [r.a_mask for r in cases[1].table] == [0b1, 0b11] and len(cases[2].table) == 2**9 - 1
         assert isinstance(cases[0].table.a_masks, range)  # a sliced range: the sweep stores no masks
 
+    def test_no_flow_runs_after_the_violating_row(self, cut_calls):
+        # a, b share r1 and c, d share r2, so the sweep's seven rows need four
+        # flows; it stops at its second row, {a, b}, after two of them, and
+        # the list stops at its second mask before the third is cut
+        t, target = bottleneck_topology(), GraphState.cycle(4)
+        a, b = (t._arcs[0][q] for q in "ab")
+        for masks in (None, [0b1, 0b11, 0b101]):
+            verdict = feasibility(t, list("abcd"), target, bipartition_list=masks)
+            assert [r.a_mask for r in verdict.table] == [0b1, 0b11] and verdict.witness == verdict.table[-1]
+            assert [sources for sources, *_ in cut_calls] == [(a,), (a, b)]
+            cut_calls.clear()
+
+    def test_verdicts_compare_by_identity(self):
+        # two sweeps of the same inputs give equal rows but two verdicts,
+        # each equal only to itself and hashed by identity
+        t = star_topology(4)
+        first, second = (feasibility(t, t.clients, GraphState.cycle(4)) for _ in range(2))
+        assert list(first.table) == list(second.table) and first.listed == second.listed
+        assert first == first and first != second and len({first, second}) == 2
+        assert hash(first) == object.__hash__(first)
+        listed = dataclasses.replace(first, listed=True)
+        assert (listed.table, listed.listed, listed.feasible) == (first.table, True, True)
+        assert listed.note == "necessary condition satisfied for every listed bipartition"
+
     def test_table_keeps_columns(self):
         # 8191 rows: as one report object each, the table held 0.85 MB and
         # the sweep peaked at 1.04 MB; as columns a row is two list slots
@@ -482,7 +506,7 @@ class TestFeasibility:
                     feasibility(star_topology(5), clients, GraphState.cycle(5), bipartition_list=masks)
 
     def test_explicit_list_of_every_mask_matches_sweep(self, rng, cut_calls):
-        # the walked ranks and keys against the per-mask ones: same rows,
+        # the sweep's table ranks and keys against the per-mask ones: same rows,
         # the same first violation and the same flows
         verdicts = Counter()
         for _ in range(60):
@@ -546,9 +570,9 @@ class TestMatchesReference:
                 part = reference.split(g.n, gf2.set_bits(m))
                 assert entanglement_rank(g, m) == reference.entanglement_rank(g, part)
 
-    def test_walked_ranks_match_entanglement_rank(self):
+    def test_sweep_ranks_match_entanglement_rank(self):
         # a star with one channel per client cuts min(|A|, |B|), never below
-        # a rank, so the table is whole: one walked rank per mask
+        # a rank, so the table is whole: one table rank per mask
         rng = random.Random(12)
         rows = 0
         for n in list(range(1, 12)) * 2 + [12]:
@@ -558,6 +582,23 @@ class TestMatchesReference:
             assert [r.required_rank for r in verdict.table] == [entanglement_rank(target, m) for m in range(1, (1 << n) - 1, 2)]
             rows += len(verdict.table)
         assert rows == 2 * (2**11 - 12) + 2**11 - 1
+
+    def test_rank_table_matches_entanglement_rank(self):
+        # every mask of one and two vertices and of the empty and complete
+        # graphs up to 12, and 2000 sampled masks of a seeded 20-vertex graph
+        graphs = [GraphState.from_edges(1, []), GraphState.from_edges(2, []), GraphState.from_edges(2, [(0, 1)])]
+        for n in range(3, 13):
+            graphs += [GraphState.from_edges(n, []), GraphState.from_edges(n, itertools.combinations(range(n), 2))]
+        for g in graphs:
+            masks = range(1, (1 << g.n) - 1, 2)
+            assert list(stabnet.network._sweep_ranks(g.rows)) == [entanglement_rank(g, m) for m in masks]
+        rng = random.Random(20)
+        g = random_graph(rng, 20, 0.5)
+        ranks = list(stabnet.network._sweep_ranks(g.rows))
+        assert len(ranks) == 2**19 - 1
+        assert all(0 <= r <= min(j.bit_count() + 1, 19 - j.bit_count()) for j, r in enumerate(ranks))
+        for m in rng.sample(range(1, (1 << 20) - 1, 2), 2000):
+            assert ranks[m >> 1] == entanglement_rank(g, m)
 
     def test_random_sweeps(self):
         rng = random.Random(0x5EED)
