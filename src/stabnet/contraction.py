@@ -12,7 +12,12 @@ kernel.  The rows are built from bits, in that order: a node row is its
 generator's shifted X-before-Z bits masked to the contracted columns, and
 a Bell row is its letters, two shifts of the convention's generator bits
 on qubits 0 and 1, which lie on contracted qubits only.  The order fixes
-the kernel basis, and so the printed generators.  Each row carries its
+the kernel basis, and so the printed generators.  Each distinct node group
+is read once per call, its generators' X-before-Z forms kept in a dict
+keyed by the group's identity that lives only while the rows are built: a
+ring of one code, or a tree whose links share one Bell group, repeats the
+same object at many offsets.  The convention's generator bits and its
+closing sign are cached beside :func:`bell_group`.  Each row carries its
 operator through that elimination, the node part as an exact product
 (:func:`stabnet.pauli.times`) and the Bell part as its letters, so each
 kernel basis vector comes back as its product with an exact sign, not as
@@ -39,7 +44,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 
 from . import gf2
 from .pauli import (
@@ -75,6 +80,15 @@ def bell_group(convention: BellConvention) -> StabilizerGroup:
     return StabilizerGroup.from_strings(_BELL_STABILIZERS[convention])
 
 
+@functools.cache
+def _bell_bits(convention: BellConvention) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``bell_group``'s generators a and b as (x, z) bits on qubits 0 and 1,
+    in the order a0, a1, b0, b1, and the phase of a * b: the sign of the
+    closing element."""
+    a, b = bell_group(convention).generators
+    return tuple((g.x >> q & 1, g.z >> q & 1) for g in (a, b) for q in (0, 1)), product((a, b), 2).phase
+
+
 class Status(Enum):
     PURE = "PURE"
     MIXED = "MIXED"
@@ -93,39 +107,50 @@ class ContractionInstance:
     offsets: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_states", tuple(self.node_states))
-        pairs = (require_type(p, (list, tuple), f"pairings[{k}]", "a qubit pair") for k, p in enumerate(self.pairings))
-        object.__setattr__(self, "pairings", tuple(map(tuple, pairs)))
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        for k, pair in enumerate(self.pairings):
+        # Each check builds its message only on a refusal.  The first refusal
+        # follows this order: every entry's type, then pair by pair its length
+        # and qubits, the offsets, the convention, the blocks, the pairs.
+        nodes = tuple(self.node_states)
+        pairings = tuple(self.pairings)
+        for k, p in enumerate(pairings):
+            if not isinstance(p, (list, tuple)):
+                require_type(p, (list, tuple), f"pairings[{k}]", "a qubit pair")
+        pairings = tuple(map(tuple, pairings))
+        offsets = tuple(self.offsets)
+        for k, pair in enumerate(pairings):
             if len(pair) != 2:
                 raise ValueError(f"pairings[{k}] has {len(pair)} entries, expected 2")
-            for side, q in enumerate(pair):
-                require_int(q, f"pairings[{k}][{side}]")
-        for k, off in enumerate(self.offsets):
-            require_int(off, f"qubit_offsets[{k}]")
+            if type(pair[0]) is not int or type(pair[1]) is not int:
+                for side, q in enumerate(pair):
+                    require_int(q, f"pairings[{k}][{side}]")
+        for k, off in enumerate(offsets):
+            if type(off) is not int:
+                require_int(off, f"qubit_offsets[{k}]")
         try:
-            object.__setattr__(self, "convention", BellConvention(self.convention))
+            convention = BellConvention(self.convention)
         except ValueError:
             raise ValueError(f'convention must be "plus-pair" or "graph-edge", got {self.convention!r}') from None
-        if not self.node_states:
+        if not nodes:
             raise ValueError("need at least one node state")
-        if not self.offsets:
-            sizes = (g.n for g in self.node_states[:-1])
-            object.__setattr__(self, "offsets", tuple(accumulate(sizes, initial=0)))
-        if len(self.offsets) != len(self.node_states):
+        if not offsets:
+            offsets = tuple(accumulate((g.n for g in nodes[:-1]), initial=0))
+        if len(offsets) != len(nodes):
             raise ValueError("one offset per node state required")
+        sizes = [g.n for g in nodes]
         # sorted by start, the non-empty blocks tile 0..total-1 when each one
         # starts where the one before it stops: no set as wide as an offset
-        blocks = sorted((off, off + g.n) for g, off in zip(self.node_states, self.offsets) if g.n)
-        stops = [0] + [stop for _, stop in blocks]
-        if any(start < stop for (start, _), stop in zip(blocks[1:], stops[1:])):
-            raise ValueError("node qubit blocks overlap")
-        total = max(off + g.n for g, off in zip(self.node_states, self.offsets))
-        if any(start != stop for (start, _), stop in zip(blocks, stops)) or total > stops[-1]:
+        stop = 0
+        tiled = True
+        for k, (start, end) in enumerate(sorted((off, off + size) for off, size in zip(offsets, sizes) if size)):
+            if start < stop and k:
+                raise ValueError("node qubit blocks overlap")
+            tiled &= start == stop
+            stop = end
+        total = max(off + size for off, size in zip(offsets, sizes))
+        if not tiled or total > stop:
             raise ValueError("node blocks must cover qubits 0..total-1 exactly")
         seen: set[int] = set()
-        for i, j in self.pairings:
+        for i, j in pairings:
             if i == j:
                 raise ValueError(f"pairing ({i}, {j}) repeats a qubit")
             for q in (i, j):
@@ -134,9 +159,11 @@ class ContractionInstance:
                 if q in seen:
                     raise ValueError(f"qubit {q} appears in two pairings")
                 seen.add(q)
+        # a frozen instance refuses setattr; its __dict__ takes the fields
+        fields = vars(self)
+        fields.update(node_states=nodes, pairings=pairings, offsets=offsets, convention=convention)
         # the layout the checks computed; not fields, so not compared or printed
-        object.__setattr__(self, "total_qubits", total)
-        object.__setattr__(self, "boundary", tuple(q for q in range(total) if q not in seen))
+        fields.update(total_qubits=total, boundary=tuple(filterfalse(seen.__contains__, range(total))))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -195,23 +222,29 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     """Residual stabilizer group left on the boundary after Bell projection."""
     n = inst.total_qubits
     boundary = inst.boundary
-    on_boundary = sum(1 << q for q in boundary)
-    contracted = ((1 << n) - 1) ^ on_boundary
+    contracted = sum(1 << i | 1 << j for i, j in inst.pairings)  # validation keeps the pairs disjoint
+    on_boundary = ((1 << n) - 1) ^ contracted
     columns = symplectic(contracted, contracted, n)
     # each node generator shifted by its block's offset, then each pairing's
     # Bell group generators, their qubits 0 and 1 moved to i and j; a row's
     # witness is its node part in X-before-Z form, tagged with its Bell
     # letters as a symplectic row.  A node row is its witness's bits on the
     # contracted columns; a Bell row is its letters, which lie on contracted
-    # qubits only and so need no mask.
+    # qubits only and so need no mask.  Each distinct group's forms are read
+    # once per call, keyed by identity: the instance holds every group for
+    # the whole call.  The forms are dropped before the elimination, whose
+    # memory peak they would otherwise raise.
+    forms: dict[int, list] = {}
     witnesses = []
     for group, off in zip(inst.node_states, inst.offsets):
-        for g in group.generators:
-            x, z, c, _ = xz_form(g)
-            witnesses.append((x << off, z << off, c, 0))
+        read = forms.get(id(group))
+        if read is None:
+            read = forms[id(group)] = list(map(xz_form, group.generators))
+        witnesses += [(x << off, z << off, c, 0) for x, z, c, _ in read]
+    del forms
     rows = [symplectic(x, z, n) & columns for x, z, _, _ in witnesses]
-    bell = bell_group(inst.convention).generators
-    (a0, a1), (b0, b1) = ((symplectic(g.x & 1, g.z & 1, n), symplectic(g.x >> 1, g.z >> 1, n)) for g in bell)
+    bits, closing = _bell_bits(inst.convention)
+    a0, a1, b0, b1 = (symplectic(x, z, n) for x, z in bits)
     for i, j in inst.pairings:
         first, second = a0 << i | a1 << j, b0 << i | b1 << j
         witnesses += ((0, 0, 0, first), (0, 0, 0, second))
@@ -227,18 +260,26 @@ def contract(inst: ContractionInstance) -> ContractionResult:
     # the pair's generators, so sign(B) is the closing sign per YY pair.
     # N is read straight off its X-before-Z form: its phase restores the Y
     # letters, and its boundary bits map to the residual's qubits.
-    closing = product(bell, 2).phase
-    bit_of = {q: 1 << k for k, q in enumerate(boundary)}.__getitem__
+    bit_of = {q: 1 << k for k, q in enumerate(boundary)}
     candidates = []
     for x, z, c, letters in kernel:
-        if (x | z) >> n:
+        xz = x | z
+        if xz >> n:
             raise ValueError("x/z bits extend beyond the qubit count")
         if symplectic(x, z, n) & columns != letters:
             raise AssertionError("kernel product is not identity on contracted qubits")
         yy_pairs = (letters & letters >> n).bit_count() // 2
         phase = (c - (x & z).bit_count() + closing * yy_pairs) % 4
-        bx = sum(map(bit_of, gf2.set_bits(x & on_boundary)))
-        bz = sum(map(bit_of, gf2.set_bits(z & on_boundary)))
+        bx = bz = 0
+        rest = xz & on_boundary
+        while rest:
+            low = rest & -rest
+            bit = bit_of[low.bit_length() - 1]
+            if x & low:
+                bx |= bit
+            if z & low:
+                bz |= bit
+            rest ^= low
         candidates.append(PauliOperator(len(boundary), bx, bz, phase))
 
     # validation keeps the pairs disjoint: 2 * len(pairings) paired qubits

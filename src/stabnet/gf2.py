@@ -10,6 +10,14 @@ masks.  ``left_kernel`` takes its witnesses and combine step from the
 caller: ``contract`` carries each row's operator product, so a kernel
 relation comes back as the product it stands for.
 
+Rows enter through one bulk write loop, ``Eliminator.add_all``, which
+holds the pivots and the combine step in locals and makes no Python call
+per row but the combine step; ``add`` is that loop on one row.
+``_strip`` is the one read path, behind ``solve``.  Most eliminations are
+small (a ring of five-qubit codes adds about 40 rows of at most 50 bits
+over its contraction, residual and distance search), so the per-row call
+overhead, not the XOR work, sets their cost.
+
 Elimination pivots on the highest set bit of a row.  Which rows are
 independent, and the relation that expresses each dependent row in the
 earlier independent ones, depend only on the row order, so the pivot rule
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Iterator
+from itertools import count
 
 
 def set_bits(row: int) -> Iterator[int]:
@@ -68,21 +77,32 @@ class Eliminator:
         return row, witness
 
     def add(self, row: int, witness=None):
-        """Add a row with its witness, by default its own bit; report a
-        dependency if there is one.
-
-        Returns None when the row extends the span.  Otherwise returns
+        """``add_all`` on one row: None when the row extends the span, else
         the combined witness of the rows whose XOR is zero, own row
-        included: by default the relation mask.
-        """
-        if witness is None:
-            witness = 1 << self._n_rows
-        self._n_rows += 1
-        row, witness = self._strip(row, witness)
-        if row == 0:
-            return witness
-        self._pivots[row.bit_length()] = (row, witness)
-        return None
+        included (by default the relation mask)."""
+        return self.add_all((row,), None if witness is None else (witness,))[0]
+
+    def add_all(self, rows: Iterable[int], witnesses: Iterable | None = None) -> list:
+        """Add ``rows`` in order, each with its witness (by default its own
+        bit, numbered on from the rows added before); one entry per row,
+        None where the row extends the span, else its relation's witness."""
+        pivots = self._pivots
+        combine = self._combine
+        if witnesses is None:
+            witnesses = map((1).__lshift__, count(self._n_rows))
+        relations = []
+        for row, witness in zip(rows, witnesses):
+            while row:
+                hit = pivots.get(row.bit_length())
+                if hit is None:
+                    pivots[row.bit_length()] = (row, witness)
+                    witness = None
+                    break
+                row ^= hit[0]
+                witness = combine(witness, hit[1])
+            relations.append(witness)
+        self._n_rows += len(relations)
+        return relations
 
     def solve(self, target: int) -> int | None:
         """Mask of added rows whose XOR equals ``target``, or None (default
@@ -106,10 +126,5 @@ def left_kernel(rows: Iterable[int], witnesses: Iterable, combine: Callable) -> 
     """A basis of {masks m : XOR of rows selected by m == 0}, each relation
     given as the ``combine`` of the ``witnesses`` (one per row) it selects;
     bit witnesses combined by XOR give the relation masks themselves."""
-    elim = Eliminator(combine)
-    kernel = []
-    for row, witness in zip(rows, witnesses):
-        relation = elim.add(row, witness)
-        if relation is not None:
-            kernel.append(relation)
-    return kernel
+    relations = Eliminator(combine).add_all(rows, witnesses)
+    return [r for r in relations if r is not None]

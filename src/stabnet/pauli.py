@@ -36,7 +36,9 @@ letters each) instead builds, per qubit, the mask of generators with X
 there and the mask with Z there (:func:`support_masks`); a generator's
 anticommutation mask is then one XOR per letter.  The choice compares the
 pair count with the letter count, and both paths name the same first
-pair (i < j).
+pair (i < j).  The constructor and :meth:`StabilizerGroup.eliminator`
+hand all their rows to one bulk elimination (``gf2.Eliminator.add_all``),
+and the support masks walk each operator's set bits inline.
 """
 
 from __future__ import annotations
@@ -195,11 +197,18 @@ def support_masks(ops: Sequence[PauliOperator], n: int) -> tuple[list[int], list
     of ``ops`` with a Z part on q (bit i stands for ``ops[i]``)."""
     xs, zs = [0] * n, [0] * n
     for i, op in enumerate(ops):
+        # the set bits are walked inline: on rows of a few letters, a
+        # generator per operator would cost more than the walk itself
         bit = 1 << i
-        for q in gf2.set_bits(op.x):
-            xs[q] |= bit
-        for q in gf2.set_bits(op.z):
-            zs[q] |= bit
+        x, z = op.x, op.z
+        while x:
+            low = x & -x
+            xs[low.bit_length() - 1] |= bit
+            x ^= low
+        while z:
+            low = z & -z
+            zs[low.bit_length() - 1] |= bit
+            z ^= low
     return xs, zs
 
 
@@ -249,24 +258,24 @@ class StabilizerGroup:
     generators: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"qubit count must be >= 0, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"qubit count must be >= 0, got {n}")
         ops = tuple(self.generators)
         for op in ops:
             if op.phase not in (0, 2):
                 raise ValueError(f"{op} is not Hermitian with sign +-1")
-            if op.n != self.n:
-                raise ValueError(f"qubit counts differ: {op.n} vs {self.n}")
-        elim = gf2.Eliminator()
-        relations = [elim.add(op.symplectic_row()) for op in ops]
+            if op.n != n:
+                raise ValueError(f"qubit counts differ: {op.n} vs {n}")
+        relations = gf2.Eliminator().add_all([symplectic(op.x, op.z, n) for op in ops])
         kept = tuple(op for op, r in zip(ops, relations) if r is None)
         # A dependent op is a product of earlier kept ones, so an anticommuting
         # pair holding it follows an earlier pair of kept ones: checking the
         # kept ones names the all-pairs loop's first pair, before any sign.
-        _check_commuting(kept, self.n)
+        _check_commuting(kept, n)
         for k, relation in enumerate(relations):
             if relation is not None:  # ops[k] is spanned by earlier keepers
-                witness = product((ops[i] for i in gf2.set_bits(relation ^ 1 << k)), self.n)
+                witness = product((ops[i] for i in gf2.set_bits(relation ^ 1 << k)), n)
                 if witness.phase != ops[k].phase:
                     raise MinusIdentityError(f"{ops[k]} and the spanned product {witness} differ by -1")
         object.__setattr__(self, "generators", kept)
@@ -303,7 +312,7 @@ class StabilizerGroup:
     def eliminator(self) -> gf2.Eliminator:
         """Elimination state over the generators' symplectic rows."""
         elim = gf2.Eliminator()
-        for g in self.generators:
-            elim.add(g.symplectic_row())
+        n = self.n
+        elim.add_all([symplectic(g.x, g.z, n) for g in self.generators])
         return elim
 

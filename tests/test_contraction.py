@@ -168,6 +168,25 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=re.escape(field)):
             ContractionInstance((EPR, EPR), pairings, offsets=offsets)
 
+    @pytest.mark.parametrize(
+        "pairings, offsets, convention, message",
+        [
+            # every entry's type is checked before any pair's qubits
+            (((0.5, 2), 3), (0, 2), "plus-pair", "pairings[1] must be a qubit pair, got 3"),
+            (((0, True), "02"), (0, 2), "plus-pair", "pairings[1] must be a qubit pair, got '02'"),
+            # a pair's length before a later pair's qubits or the offsets
+            (((0, 2, 3), (0.5, 1)), (0, 2), "plus-pair", "pairings[0] has 3 entries, expected 2"),
+            (((0, 2, 3),), (0, 2.0), "plus-pair", "pairings[0] has 3 entries, expected 2"),
+            # the blocks before the pairs that address them
+            (((0, 9),), (0, 1), "plus-pair", "node qubit blocks overlap"),
+            # the offsets before the convention
+            (((0, 2),), (0, 2.0), "bogus", "qubit_offsets[1] must be an integer, got 2.0"),
+        ],
+    )
+    def test_first_of_several_faults_is_refused(self, pairings, offsets, convention, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ContractionInstance((EPR, EPR), pairings, convention, offsets)
+
     def test_pairing_must_be_a_pair(self):
         with pytest.raises(ValueError, match=re.escape("pairings[0]")):
             ContractionInstance((EPR, EPR), ((0, 2, 3),))
@@ -484,6 +503,33 @@ class TestIdentityCheck:
 class TestMatchesReference:
     """The set-bit engine renders byte-identical results to the plain loops
     in ``reference_contraction``: same generators, order, signs, exponent."""
+
+    @pytest.mark.parametrize("convention", list(BellConvention))
+    def test_a_repeated_group_equals_distinct_equal_groups(self, convention):
+        # contract reads each distinct group once per call, keyed by
+        # identity: one object at several offsets, interleaved with another,
+        # must render as equal but distinct objects do
+        offsets = (7, 0, 14, 19, 5, 12)
+        pairings = ((4, 5), (6, 7), (11, 12), (13, 14), (18, 19), (2, 16))
+        shared = (FIVE, FIVE, FIVE, EPR, EPR, EPR)
+        fresh = tuple(StabilizerGroup(g.n, g.generators) for g in shared)
+        assert fresh == shared and not any(a is b for a, b in zip(fresh, shared))
+        instances = [ContractionInstance(nodes, pairings, convention, offsets) for nodes in (shared, fresh)]
+        outputs = {contract(inst).to_json() for inst in instances}
+        assert outputs == {reference_contraction.contract_json(instances[1])}
+
+    def test_no_read_outlives_its_call(self, rng):
+        # each instance is built after the last one's groups are freed, so
+        # a new group may take a freed group's id: a read kept past its
+        # call would be served to the wrong group
+        statuses = Counter()
+        for _ in range(200):
+            inst = random_contraction_instance(rng, 12)
+            result = contract(inst)
+            assert result.to_json() == reference_contraction.contract_json(inst)
+            statuses[result.status] += 1
+            del inst, result
+        assert statuses[Status.PURE] and statuses[Status.ANNIHILATED], statuses
 
     def test_random_instances(self, rng):
         statuses = Counter()

@@ -1,8 +1,10 @@
 import random
 
 import reference_contraction
-from conftest import pack_row, relation_masks
+from conftest import pack_row, random_graph, relation_masks
 from stabnet import gf2
+from stabnet.graphstate import stabilizer_generators
+from stabnet.pauli import product, times, xz_form
 
 
 def solve(rows, target):
@@ -180,3 +182,37 @@ def test_left_kernel_ignores_column_order():
             permuted = [_xor(1 << perm[c] for c in gf2.set_bits(row)) for row in rows]
             assert relation_masks(permuted) == expected
             assert gf2.rank_packed(permuted) == len(rows) - len(expected)
+
+
+def test_bulk_loop_matches_row_by_row_adds_and_carries_products():
+    # rows up to 300 bits, zero and repeated rows among them, added in two
+    # bulk calls (default witness bits number on from the first call) and
+    # one row at a time; witnesses that commute make a relation's product
+    # independent of the order the elimination combines them in
+    rng = random.Random(71)
+    for _ in range(150):
+        width = rng.choice([3, 20, 64, 65, 130, 300])
+        rows = _dependent_rows(rng, width, rng.randint(1, min(width, 12)), rng.randint(0, 8))
+        rows += [0] * rng.randint(0, 2) + rng.choices(rows, k=rng.randint(0, 3))
+        rng.shuffle(rows)
+        single = gf2.Eliminator()
+        expected = [single.add(row) for row in rows]
+        bulk = gf2.Eliminator()
+        cut = rng.randint(0, len(rows))
+        assert bulk.add_all(rows[:cut]) + bulk.add_all(iter(rows[cut:])) == expected
+        masks = [r for r in expected if r is not None]
+        assert masks == reference_contraction.left_kernel(rows)
+
+        n = rng.randint(1, 10)
+        pool = stabilizer_generators(random_graph(rng, n)).generators
+        ops = [product(rng.sample(pool, rng.randint(0, n)), n) for _ in rows]
+        ops = [op.negated() if rng.random() < 0.5 else op for op in ops]
+        # each witness tagged with its own bit, so the tags XOR to the mask
+        witnesses = [xz_form(op)[:3] + (1 << i,) for i, op in enumerate(ops)]
+        kernel = gf2.left_kernel(rows, witnesses, times)
+        assert [tag for *_, tag in kernel] == masks
+        for x, z, c, mask in kernel:
+            acc = (0, 0, 0, 0)
+            for i in gf2.set_bits(mask):
+                acc = times(acc, witnesses[i])
+            assert (x, z, c % 4) == (acc[0], acc[1], acc[2] % 4)

@@ -457,15 +457,17 @@ class TestConstructorIsTheReduction:
             StabilizerGroup.from_strings(["+XX", "+ZZ", "+YY"])
 
     def test_one_elimination(self, monkeypatch):
-        # every row is added once, and no second rank pass runs
+        # every row is added once, through the bulk write loop that every
+        # row enters by, and no second rank pass runs
         adds = []
-        original = gf2.Eliminator.add
+        original = gf2.Eliminator.add_all
 
-        def counting(self, row):
-            adds.append(row)
-            return original(self, row)
+        def counting(self, rows, witnesses=None):
+            rows = list(rows)
+            adds.extend(rows)
+            return original(self, rows, witnesses)
 
-        monkeypatch.setattr(gf2.Eliminator, "add", counting)
+        monkeypatch.setattr(gf2.Eliminator, "add_all", counting)
         monkeypatch.setattr(gf2, "rank_packed", None)
         ops = [parse_pauli(s) for s in ("XXI", "ZZI", "-YYI", "IIZ")]
         assert len(StabilizerGroup(3, tuple(ops))) == 3
